@@ -180,7 +180,7 @@ pub fn mine(store: &RequestStore, config: &MineConfig) -> RuleSet {
 /// Run Algorithm 1 over any arrival-ordered record view — the re-entrant
 /// form the re-mining defense member feeds with its incremental window
 /// (seed traffic plus each completed arena round). Attribute pairs are
-/// independent, so they are mined in parallel on crossbeam scoped threads
+/// independent, so they are mined in parallel on `std::thread::scope` threads
 /// (round-robin over the category pair list) and merged back in pair order
 /// — the rule set is identical to a sequential run.
 pub fn mine_records<'a>(
@@ -209,11 +209,10 @@ pub fn mine_records<'a>(
 
     let pool = &pool;
     let pairs = &pairs;
-    let mut per_pair: Vec<Vec<SpatialRule>> = Vec::new();
-    crossbeam::thread::scope(|scope| {
+    let per_pair: Vec<Vec<SpatialRule>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     pairs
                         .iter()
                         .enumerate()
@@ -228,9 +227,8 @@ pub fn mine_records<'a>(
             .flat_map(|h| h.join().expect("mining worker panicked"))
             .collect();
         indexed.sort_by_key(|(i, _)| *i);
-        per_pair = indexed.into_iter().map(|(_, rules)| rules).collect();
-    })
-    .expect("mining scope panicked");
+        indexed.into_iter().map(|(_, rules)| rules).collect()
+    });
 
     let mut rules = RuleSet::new();
     for pair_rules in per_pair {

@@ -41,7 +41,6 @@
 //! Everything is seeded and the per-round ingest is the shard-invariant
 //! pipeline, so a whole campaign replays identically at any shard count.
 
-use crate::policy::ResponsePolicy;
 use crate::strategy::{AdaptationStrategy, BehaviouralMutation};
 use fp_behavior::BehaviorMember;
 use fp_botnet::{Campaign, CampaignConfig};
@@ -51,7 +50,9 @@ use fp_inconsistent_core::evaluate::{self, MutationStats, RoundStats, Trajectory
 use fp_inconsistent_core::{FpInconsistent, MineConfig, PackSlot, RulePack};
 use fp_netsim::{NetDb, TtlBlocklist};
 use fp_obs::{MetricsRegistry, RoundObs};
-use fp_types::defense::{DecisionContext, DecisionPolicy, Frozen};
+use fp_types::defense::{
+    DecisionContext, DecisionPolicy, Frozen, ResponsePolicy, DEFAULT_BLOCK_TTL_SECS,
+};
 use fp_types::runfp::{component_of, RunComponents, RunFingerprint};
 use fp_types::{
     mix2, ActionLedger, BehaviorThresholds, Cohort, HotSwap, MitigationAction, Request,
@@ -110,17 +111,6 @@ pub struct ArenaConfig {
     /// with [`Arena::with_stack`] keep whatever behaviour member the
     /// caller's stack mounts; this knob drives the default stack only.)
     pub behavior_refit: Option<u32>,
-    /// Drive each round through the continuously running serving layer
-    /// ([`fp_honeysite::serve`]) instead of the batch sharded pipeline:
-    /// requests are submitted one at a time with the TTL-blocklist check
-    /// as the service's admission gate on the submit hot path. `None`
-    /// (the default) keeps the batch path. Use
-    /// [`fp_types::OverflowPolicy::Block`] here — a shedding arena would silently drop round traffic (shed
-    /// requests are neither recorded nor counted as denied). Like
-    /// [`ArenaConfig::shards`], this is an execution parameter the
-    /// serving layer proves behaviour-invariant, so it is excluded from
-    /// the run fingerprint.
-    pub serve: Option<fp_types::ServeConfig>,
 }
 
 impl Default for ArenaConfig {
@@ -129,12 +119,11 @@ impl Default for ArenaConfig {
             scale: Scale::ratio(0.02),
             seed: 0xF91C0DE,
             shards: 1,
-            policy: ResponsePolicy::block(crate::policy::DEFAULT_BLOCK_TTL_SECS),
+            policy: ResponsePolicy::block(DEFAULT_BLOCK_TTL_SECS),
             remine_cadence: None,
             retention: RetentionPolicy::KeepAll,
             agent_humanise: None,
             behavior_refit: None,
-            serve: None,
         }
     }
 }
@@ -443,12 +432,11 @@ impl Arena {
     ///   counts, denials, mitigation actions, mutation spend, defender
     ///   spend with pack hashes and eviction ledgers, per round in order.
     ///
-    /// [`ArenaConfig::shards`] and [`ArenaConfig::serve`] are
-    /// deliberately **not** components: the shard count and the
-    /// batch-vs-serving execution mode are parameters the pipeline
-    /// proves behaviour-invariant, so the same campaign at 1, 2 or 8
-    /// shards — batch or served — must attest identically; that
-    /// invariance is what the fingerprint is *for*. The metrics registry ([`Arena::metrics`]) and each
+    /// [`ArenaConfig::shards`] is deliberately **not** a component: the
+    /// shard count is a parameter the pipeline proves
+    /// behaviour-invariant, so the same campaign at 1, 2 or 8 shards must
+    /// attest identically; that invariance is what the fingerprint is
+    /// *for*. The metrics registry ([`Arena::metrics`]) and each
     /// round's [`RoundStats::obs`] snapshot are excluded for the same
     /// reason: latency histograms and wall-clock timings are host noise,
     /// so folding them would make the same campaign fingerprint
@@ -524,55 +512,31 @@ impl Arena {
         let obs_before = self.registry.snapshot();
         let (stream, mutation) = self.round_stream(round);
 
-        // Admission + detection under the stack's current chain. Both
-        // paths evaluate the same TTL-blocklist check per request: the
-        // batch path ahead of the sharded scoped-thread pipeline, the
-        // serving path as the service's admission gate on the submit hot
-        // path (denied requests never cost queue space).
+        // Admission + detection under the stack's current chain: the
+        // TTL-blocklist check per request, then the sharded scoped-thread
+        // pipeline over what it admitted.
         let mut outcomes: HashMap<TrafficSource, RoundOutcome> = HashMap::new();
         let mut denied = [0u64; Cohort::ALL.len()];
-        let site = self.site();
-        let store = if let Some(serve_cfg) = self.config.serve {
-            let blocklist = &self.blocklist;
-            let mut service = site.serve(serve_cfg);
-            for request in stream {
-                let source = request.source;
-                let time = request.time;
-                let outcome = outcomes.entry(source).or_insert(RoundOutcome {
-                    round,
-                    ..RoundOutcome::default()
-                });
-                outcome.sent += 1;
-                let submitted = service
-                    .submit_with_gate(request, |_, ip_hash| !blocklist.contains(ip_hash, time));
-                if submitted == fp_honeysite::SubmitOutcome::Denied {
-                    outcome.denied += 1;
-                    denied[source.cohort().index()] += 1;
-                }
+        let mut admitted = Vec::with_capacity(stream.len());
+        for request in stream {
+            let outcome = outcomes.entry(request.source).or_insert(RoundOutcome {
+                round,
+                ..RoundOutcome::default()
+            });
+            outcome.sent += 1;
+            if self
+                .blocklist
+                .contains(NetDb::hash_ip(request.ip), request.time)
+            {
+                outcome.denied += 1;
+                denied[request.source.cohort().index()] += 1;
+            } else {
+                admitted.push(request);
             }
-            service.finish().into_store()
-        } else {
-            let mut admitted = Vec::with_capacity(stream.len());
-            for request in stream {
-                let outcome = outcomes.entry(request.source).or_insert(RoundOutcome {
-                    round,
-                    ..RoundOutcome::default()
-                });
-                outcome.sent += 1;
-                if self
-                    .blocklist
-                    .contains(NetDb::hash_ip(request.ip), request.time)
-                {
-                    outcome.denied += 1;
-                    denied[request.source.cohort().index()] += 1;
-                } else {
-                    admitted.push(request);
-                }
-            }
-            let mut site = site;
-            site.ingest_stream(admitted, self.config.shards);
-            site.into_store()
-        };
+        }
+        let mut site = self.site();
+        site.ingest_stream(admitted, self.config.shards);
+        let store = site.into_store();
 
         // Mitigation: the stack's policy maps verdicts (+ offense history)
         // to actions; blocks land on the list that gates the *next*
@@ -951,34 +915,6 @@ mod tests {
                 assert_eq!(x.cookie, y.cookie);
             }
         }
-    }
-
-    #[test]
-    fn serving_rounds_replay_batch_rounds_identically() {
-        // The serving layer is an execution mode, not a behaviour: two
-        // rounds driven through bounded-queue shard workers (with the
-        // blocklist gate on the submit hot path) must produce the same
-        // stores, outcomes and run fingerprint as the batch pipeline.
-        let run = |serve: Option<fp_types::ServeConfig>| {
-            let mut config = tiny_config(ResponsePolicy::block(ROUND_SECS));
-            config.serve = serve;
-            let mut arena = Arena::new(config);
-            let r0 = arena.step();
-            let r1 = arena.step();
-            (r0, r1, arena.run_fingerprint())
-        };
-        let (b0, b1, batch_fp) = run(None);
-        let (s0, s1, serve_fp) = run(Some(fp_types::ServeConfig::with_shards(2)));
-        for (b, s) in [(&b0, &s0), (&b1, &s1)] {
-            assert_eq!(b.store.len(), s.store.len());
-            for (x, y) in b.store.iter().zip(s.store.iter()) {
-                assert_eq!(x.verdicts, y.verdicts);
-                assert_eq!(x.cookie, y.cookie);
-                assert_eq!(x.ip_hash, y.ip_hash);
-            }
-            assert_eq!(b.outcomes, s.outcomes, "denials and blocks match");
-        }
-        assert_eq!(batch_fp, serve_fp, "execution mode never moves the RUNFP");
     }
 
     #[test]

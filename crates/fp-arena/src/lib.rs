@@ -7,13 +7,15 @@
 //! The rest of this workspace measures a single contact; this crate closes
 //! the loop and measures the fight over time.
 //!
-//! * [`ResponsePolicy`] — what the site does with a flagged request:
-//!   Allow (control), Captcha, Block-with-TTL (enforced at admission via
-//!   `fp-netsim`'s [`fp_netsim::TtlBlocklist`]), or ShadowFlag (the
-//!   paper's own record-everything-serve-everything posture). It is one
-//!   implementation of the [`fp_types::defense::DecisionPolicy`] contract;
-//!   richer policies (per-detector weights/actions, repeat-offender TTL
-//!   escalation) plug into the same slot via [`Arena::set_policy`].
+//! * [`ResponsePolicy`] (re-exported from [`fp_types::defense`]) — what
+//!   the site does with a flagged request: Allow (control), Captcha,
+//!   Block-with-TTL (enforced at admission via `fp-netsim`'s
+//!   [`fp_netsim::TtlBlocklist`]), or ShadowFlag (the paper's own
+//!   record-everything-serve-everything posture), past a vote threshold.
+//!   It is one implementation of the
+//!   [`fp_types::defense::DecisionPolicy`] contract; richer policies
+//!   (per-detector weights/actions, repeat-offender TTL escalation) plug
+//!   into the same slot via [`Arena::set_policy`].
 //! * [`DefenseStack`] (from `fp-honeysite`) — the defender as a value:
 //!   lifecycle-aware members, the decision policy, and the
 //!   epoch-segmented training store. The arena drives the defender's
@@ -49,12 +51,11 @@
 #![deny(missing_docs)]
 
 pub mod arena;
-pub mod policy;
 pub mod strategy;
 
 pub use arena::{Arena, ArenaConfig, RoundResult, ROUND_SECS};
 pub use fp_honeysite::DefenseStack;
-pub use policy::{ResponsePolicy, DEFAULT_BLOCK_TTL_SECS};
+pub use fp_types::defense::{ResponsePolicy, DEFAULT_BLOCK_TTL_SECS};
 pub use strategy::{
     AdaptationStrategy, BehaviouralMutation, Composite, Cooldown, FingerprintMutation, IpRotation,
     MutationReceipt, Static, TlsUpgrade,

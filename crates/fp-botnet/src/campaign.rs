@@ -1,7 +1,7 @@
 //! Whole-campaign orchestration.
 //!
 //! Generates all twenty services (in parallel — the work is CPU-bound, so
-//! per the Tokio guide's own advice this is plain `crossbeam` scoped
+//! per the Tokio guide's own advice this is plain `std::thread::scope`
 //! threads, not async), merges the streams in arrival order, and exposes
 //! the ground-truth designs for calibration.
 
@@ -78,16 +78,15 @@ fn generate_services(config: CampaignConfig) -> Vec<GeneratedRequest> {
     let mut per_service: Vec<Vec<GeneratedRequest>> = Vec::with_capacity(SERVICES.len());
     per_service.resize_with(SERVICES.len(), Vec::new);
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for spec in SERVICES.iter() {
-            handles.push(scope.spawn(move |_| service::generate(spec, config.scale, config.seed)));
+            handles.push(scope.spawn(move || service::generate(spec, config.scale, config.seed)));
         }
         for (slot, handle) in per_service.iter_mut().zip(handles) {
             *slot = handle.join().expect("service generator panicked");
         }
-    })
-    .expect("generation scope panicked");
+    });
 
     let mut merged: Vec<GeneratedRequest> = per_service.into_iter().flatten().collect();
     merged.sort_by_key(|g| g.request.time);

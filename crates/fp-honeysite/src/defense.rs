@@ -34,7 +34,8 @@ use fp_behavior::BehaviorMember;
 use fp_obs::{expose, Histogram, MetricsRegistry};
 use fp_tls::TlsCrossLayer;
 use fp_types::defense::{
-    DecisionContext, DecisionPolicy, Frozen, RetrainSpend, RoundContext, StackMember, VoteThreshold,
+    DecisionContext, DecisionPolicy, Frozen, ResponsePolicy, RetrainSpend, RoundContext,
+    StackMember,
 };
 use fp_types::retention::{RecordView, RetentionPolicy};
 use fp_types::{Detector, MitigationAction, SimTime};
@@ -83,7 +84,7 @@ impl DefenseStack {
     /// position. `DefenseStack::default()` is this with
     /// [`BehaviorMember::frozen`].
     pub fn with_behavior(behavior: BehaviorMember) -> DefenseStack {
-        let mut stack = DefenseStack::new(Box::new(VoteThreshold::shadow()));
+        let mut stack = DefenseStack::new(Box::new(ResponsePolicy::shadow()));
         stack.push_member(Box::new(Frozen::new(Box::new(DataDome::new()))));
         stack.push_member(Box::new(Frozen::new(Box::new(BotD::new()))));
         stack.push_member(Box::new(Frozen::new(Box::new(TlsCrossLayer::new()))));
@@ -294,10 +295,7 @@ mod tests {
             prior_offenses: 0,
         };
         assert_eq!(stack.decide(&ctx), MitigationAction::ShadowFlag);
-        stack.set_policy(Box::new(VoteThreshold::any(
-            "block",
-            MitigationAction::Block(60),
-        )));
+        stack.set_policy(Box::new(ResponsePolicy::block(60)));
         assert_eq!(stack.decide(&ctx), MitigationAction::Block(60));
     }
 

@@ -9,7 +9,10 @@
 //! * [`pipeline`] — sharded streaming ingest: the same detector chain on N
 //!   worker shards (partitioned by each detector's
 //!   [`fp_types::StateScope`] anchor), verdict-for-verdict
-//!   identical to the sequential path and merged in arrival order.
+//!   identical to the sequential path and merged in arrival order. It,
+//!   the sequential loop and the serving layer all run the chain through
+//!   one route kernel (the anchor split, the per-shard worker with its
+//!   sampled detector timing, and the chain-order verdict commit).
 //! * [`serve`] — the continuously running serving layer
 //!   ([`HoneySite::serve`] → [`FpService`]): admission and an optional
 //!   gate (TTL blocklist / policy) on the caller's thread, then bounded
@@ -39,6 +42,7 @@
 
 pub mod defense;
 pub mod pipeline;
+mod route;
 pub mod serve;
 pub mod site;
 pub mod stats;

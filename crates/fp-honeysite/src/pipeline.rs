@@ -1,9 +1,9 @@
 //! Sharded streaming ingest.
 //!
 //! [`HoneySite::ingest_stream`] processes a whole arrival-ordered request
-//! stream on N worker shards (crossbeam scoped threads, like `fp-botnet`'s
-//! campaign generator) and produces verdicts **identical** to the
-//! sequential [`HoneySite::ingest`] loop. The partition argument:
+//! stream on N worker shards (`std::thread::scope` threads, like
+//! `fp-botnet`'s campaign generator) and produces verdicts **identical** to
+//! the sequential [`HoneySite::ingest`] loop. The partition argument:
 //!
 //! * every detector declares its state anchor via
 //!   [`fp_types::StateScope`] — per-IP, per-cookie, or none;
@@ -21,28 +21,25 @@
 //! admission pass also pre-partitions the per-shard index lists (one for
 //! the IP phase, one for the cookie phase), so each worker walks exactly
 //! its own subset — total scan work is O(total) per phase, not
-//! O(total × shards).
+//! O(total × shards). The route split, the per-shard workers and the
+//! chain-order commit are the route kernel every ingest engine shares.
 
+use crate::route::{RouteWorker, TaggedVerdicts};
 use crate::site::{derive_record, HoneySite};
 use crate::store::{RequestStore, StoredRequest};
-use fp_obs::{Counter, Histogram, LocalHistogram};
-use fp_types::detect::{Detector, StateScope, Verdict};
-use fp_types::{shard_for, sym, CookieId, Request, Symbol};
+use fp_obs::Histogram;
+use fp_types::{shard_for, CookieId, Request};
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::thread::ScopedJoinHandle;
 use std::time::Instant;
 
-/// Verdicts tagged by chain position, so the merge can interleave the two
-/// phases' entries back into chain order.
-type TaggedVerdicts = Vec<(usize, Verdict)>;
-
-/// The stream run's instrument handles, cloned out of the site up front so
-/// the worker scopes borrow plain `Arc`s rather than the site.
-struct StreamObs {
-    latency: Arc<Histogram>,
-    admitted: Arc<Counter>,
-    /// Parallel to the chain (indexed by chain position).
-    detector_ns: Vec<Arc<Histogram>>,
+/// Join a shard, re-raising its panic (a faulty detector's own message)
+/// on the caller's thread.
+fn join<T>(handle: ScopedJoinHandle<'_, T>) -> T {
+    handle
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
 impl HoneySite {
@@ -64,12 +61,7 @@ impl HoneySite {
             "ingest_stream adopts a freshly built store; ingest into an empty site"
         );
         let n = shards.max(1);
-        let obs: Option<StreamObs> = self.site_metrics().map(|m| StreamObs {
-            latency: m.latency_ns.clone(),
-            admitted: m.admitted.clone(),
-            detector_ns: m.detector_ns.clone(),
-        });
-        let obs_on = obs.is_some();
+        let timed = self.site_metrics().is_some();
 
         // Phase A (sequential, cheap): admission + cookie issuance, the IP
         // hash that routes each request to its shard, and — in the same
@@ -86,7 +78,7 @@ impl HoneySite {
         let mut stamps: Vec<Instant> = Vec::new();
         for request in requests {
             if let Some(cookie) = self.admit(&request) {
-                if obs_on {
+                if timed {
                     stamps.push(Instant::now());
                 }
                 let ip_hash = fp_netsim::NetDb::hash_ip(request.ip);
@@ -98,98 +90,53 @@ impl HoneySite {
         }
         let total = admitted.len();
 
-        // Split the chain by state anchor. Stateless detectors ride on the
-        // IP route so each request is decided exactly once.
-        let ip_route: Vec<usize> = (0..self.chain().len())
-            .filter(|&i| self.chain()[i].scope() != StateScope::PerCookie)
-            .collect();
-        let cookie_route: Vec<usize> = (0..self.chain().len())
-            .filter(|&i| self.chain()[i].scope() == StateScope::PerCookie)
-            .collect();
-        let names: Vec<Symbol> = self.chain().iter().map(|d| sym(d.name())).collect();
+        let chain = self.chain();
+        let routes = self.routes();
+        let detector_ns: &[Arc<Histogram>] = self
+            .site_metrics()
+            .map_or(&[], |m| m.detector_ns.as_slice());
 
         // Phase B1 (parallel by IP shard): derive the stored record, run
-        // stateless + per-IP detectors, build the shard's by_ip index.
-        // Each worker walks its pre-partitioned index list, which is in
-        // arrival order by construction — the per-anchor subsequence
-        // argument is unchanged.
+        // the IP route, build the shard's by_ip index. Each worker walks
+        // its pre-partitioned index list, which is in arrival order by
+        // construction — the per-anchor subsequence argument is unchanged.
         let admitted = &admitted;
         let ip_parts = &ip_parts;
-        let chain = self.chain();
         type B1Out = (
             Vec<(usize, StoredRequest, TaggedVerdicts)>,
             HashMap<u64, Vec<usize>>,
-            Vec<LocalHistogram>,
         );
-        let b1: Vec<B1Out> = crossbeam::thread::scope(|scope| {
+        let b1: Vec<B1Out> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..n)
                 .map(|s| {
-                    let mut detectors: Vec<(usize, Box<dyn Detector>)> =
-                        ip_route.iter().map(|&i| (i, chain[i].fork())).collect();
-                    scope.spawn(move |_| {
+                    let mut worker = RouteWorker::fork(chain, routes.ip(), timed);
+                    scope.spawn(move || {
                         let mut out = Vec::with_capacity(ip_parts[s].len());
                         let mut by_ip: HashMap<u64, Vec<usize>> = HashMap::new();
-                        // Shard-local timing histograms (one per routed
-                        // detector, in route order) — plain arrays filled
-                        // privately and merged at join, so totals are
-                        // shard-count-invariant by construction.
-                        let mut timings =
-                            vec![LocalHistogram::new(); if obs_on { detectors.len() } else { 0 }];
                         for &idx in &ip_parts[s] {
                             let (request, cookie, ip_hash) = &admitted[idx];
                             let record = derive_record(request, *cookie);
-                            // Timing stamps are sampled by arrival index —
-                            // deterministic and shard-invariant, see
-                            // `site::DETECTOR_TIMING_SAMPLE`.
-                            let verdicts: TaggedVerdicts = if obs_on
-                                && (idx as u64).is_multiple_of(crate::site::DETECTOR_TIMING_SAMPLE)
-                            {
-                                let mut last = Instant::now();
-                                detectors
-                                    .iter_mut()
-                                    .enumerate()
-                                    .map(|(k, (i, d))| {
-                                        let v = (*i, d.observe(&record));
-                                        let now = Instant::now();
-                                        timings[k].record((now - last).as_nanos() as u64);
-                                        last = now;
-                                        v
-                                    })
-                                    .collect()
-                            } else {
-                                detectors
-                                    .iter_mut()
-                                    .map(|(i, d)| (*i, d.observe(&record)))
-                                    .collect()
-                            };
+                            let verdicts = worker.observe(idx as u64, &record);
                             by_ip.entry(*ip_hash).or_default().push(idx);
                             out.push((idx, record, verdicts));
                         }
-                        (out, by_ip, timings)
+                        worker.flush(detector_ns);
+                        (out, by_ip)
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("ip shard panicked"))
-                .collect()
-        })
-        .expect("ingest scope panicked");
+            handles.into_iter().map(join).collect()
+        });
 
         // Scatter back to arrival order.
         let mut slots: Vec<Option<(StoredRequest, TaggedVerdicts)>> =
             (0..total).map(|_| None).collect();
         let mut by_ip_shards = Vec::with_capacity(n);
-        for (records, by_ip, timings) in b1 {
+        for (records, by_ip) in b1 {
             for (idx, record, verdicts) in records {
                 slots[idx] = Some((record, verdicts));
             }
             by_ip_shards.push(by_ip);
-            if let Some(o) = &obs {
-                for (k, local) in timings.iter().enumerate() {
-                    o.detector_ns[ip_route[k]].merge_local(local);
-                }
-            }
         }
         // Ids stay 0 until after Phase B2: sequential ingest assigns the
         // dense id only when the store pushes the record, *after* every
@@ -204,80 +151,43 @@ impl HoneySite {
             ip_verdicts.push(verdicts);
         }
 
-        // Phase B2 (parallel by cookie shard): per-cookie detectors over
-        // the completed records, plus the shard's by_cookie index — again
+        // Phase B2 (parallel by cookie shard): the cookie route over the
+        // completed records, plus the shard's by_cookie index — again
         // walking only the pre-partitioned subset, in arrival order.
         let records_ref = &records;
         let cookie_parts = &cookie_parts;
-        type B2Out = (
-            Vec<(usize, TaggedVerdicts)>,
-            HashMap<CookieId, Vec<usize>>,
-            Vec<LocalHistogram>,
-        );
-        let b2: Vec<B2Out> = crossbeam::thread::scope(|scope| {
+        type B2Out = (Vec<(usize, TaggedVerdicts)>, HashMap<CookieId, Vec<usize>>);
+        let b2: Vec<B2Out> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..n)
                 .map(|s| {
-                    let mut detectors: Vec<(usize, Box<dyn Detector>)> =
-                        cookie_route.iter().map(|&i| (i, chain[i].fork())).collect();
-                    scope.spawn(move |_| {
+                    let mut worker = RouteWorker::fork(chain, routes.cookie(), timed);
+                    scope.spawn(move || {
                         let mut out = Vec::new();
                         let mut by_cookie: HashMap<CookieId, Vec<usize>> = HashMap::new();
-                        let mut timings =
-                            vec![LocalHistogram::new(); if obs_on { detectors.len() } else { 0 }];
                         for &idx in &cookie_parts[s] {
                             let record = &records_ref[idx];
                             by_cookie.entry(record.cookie).or_default().push(idx);
-                            if detectors.is_empty() {
-                                continue;
+                            if !worker.detectors().is_empty() {
+                                out.push((idx, worker.observe(idx as u64, record)));
                             }
-                            let verdicts: TaggedVerdicts = if obs_on
-                                && (idx as u64).is_multiple_of(crate::site::DETECTOR_TIMING_SAMPLE)
-                            {
-                                let mut last = Instant::now();
-                                detectors
-                                    .iter_mut()
-                                    .enumerate()
-                                    .map(|(k, (i, d))| {
-                                        let v = (*i, d.observe(record));
-                                        let now = Instant::now();
-                                        timings[k].record((now - last).as_nanos() as u64);
-                                        last = now;
-                                        v
-                                    })
-                                    .collect()
-                            } else {
-                                detectors
-                                    .iter_mut()
-                                    .map(|(i, d)| (*i, d.observe(record)))
-                                    .collect()
-                            };
-                            out.push((idx, verdicts));
                         }
-                        (out, by_cookie, timings)
+                        worker.flush(detector_ns);
+                        (out, by_cookie)
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("cookie shard panicked"))
-                .collect()
-        })
-        .expect("ingest scope panicked");
+            handles.into_iter().map(join).collect()
+        });
 
-        // Merge: interleave both phases' verdicts back into chain order and
-        // adopt the shard-built indexes.
+        // Merge: commit both routes' verdicts in chain order and adopt the
+        // shard-built indexes.
         let mut cookie_verdicts: Vec<TaggedVerdicts> = (0..total).map(|_| Vec::new()).collect();
         let mut by_cookie_shards = Vec::with_capacity(n);
-        for (entries, by_cookie, timings) in b2 {
+        for (entries, by_cookie) in b2 {
             for (idx, verdicts) in entries {
                 cookie_verdicts[idx] = verdicts;
             }
             by_cookie_shards.push(by_cookie);
-            if let Some(o) = &obs {
-                for (k, local) in timings.iter().enumerate() {
-                    o.detector_ns[cookie_route[k]].merge_local(local);
-                }
-            }
         }
         // The latency window closes when the request's merged verdicts
         // land — queueing behind the shard phases is part of the
@@ -286,27 +196,22 @@ impl HoneySite {
         // loop runs in microseconds while the windows span the whole
         // batch, so per-request reads would add hot-path cost without
         // moving any bucket.
-        let merge_now = obs.as_ref().map(|_| Instant::now());
-        for (idx, ((record, ip_tagged), cookie_tagged)) in records
+        let latency = self.site_metrics().map(|m| (&m.latency_ns, Instant::now()));
+        for (idx, ((record, mut tagged), cookie_tagged)) in records
             .iter_mut()
             .zip(ip_verdicts)
             .zip(cookie_verdicts)
             .enumerate()
         {
             record.id = idx as u64;
-            let mut tagged: TaggedVerdicts = ip_tagged;
             tagged.extend(cookie_tagged);
-            tagged.sort_by_key(|(chain_idx, _)| *chain_idx);
-            for (chain_idx, verdict) in tagged {
-                record.verdicts.record(names[chain_idx], verdict);
-            }
-            if let (Some(o), Some(now)) = (&obs, merge_now) {
-                o.latency
-                    .record(now.duration_since(stamps[idx]).as_nanos() as u64);
+            routes.commit(record, tagged);
+            if let Some((histogram, now)) = latency {
+                histogram.record(now.duration_since(stamps[idx]).as_nanos() as u64);
             }
         }
-        if let Some(o) = &obs {
-            o.admitted.add(total as u64);
+        if let Some(m) = self.site_metrics() {
+            m.admitted.add(total as u64);
         }
 
         self.set_store(RequestStore::from_parts(
@@ -324,7 +229,7 @@ mod tests {
     use fp_fingerprint::{
         BrowserFamily, BrowserProfile, Collector, DeviceKind, DeviceProfile, LocaleSpec,
     };
-    use fp_types::{BehaviorTrace, SimTime, Splittable, TrafficSource};
+    use fp_types::{sym, BehaviorTrace, SimTime, Splittable, TrafficSource};
     use std::net::Ipv4Addr;
 
     fn requests(count: u32) -> Vec<Request> {

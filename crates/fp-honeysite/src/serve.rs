@@ -1,7 +1,7 @@
 //! The continuously running serving layer.
 //!
 //! [`HoneySite::serve`] turns the site into an [`FpService`]: instead of
-//! the batch pipeline's two sequential `crossbeam::scope` barriers
+//! the batch pipeline's two sequential `std::thread::scope` barriers
 //! ([`HoneySite::ingest_stream`] derives every record, joins, then runs
 //! every per-cookie detector, joins again), the service keeps its workers
 //! running behind **bounded queues** and processes each request end to
@@ -31,8 +31,15 @@
 //!   only on its own input queue and on the collector queue (a sink that
 //!   is always drained). The queue graph is acyclic, so the service
 //!   cannot deadlock.
-//! * **Flag identity with the batch path**: routing uses the same
-//!   [`shard_for`] keys over the same anchors as `ingest_stream`, the
+//! * **A dying stage never strands the others**: every stage closes the
+//!   queues it consumes (and a shard worker signs off with the collector)
+//!   from a drop guard, on a normal exit and on a panic alike. A push
+//!   into a closed queue drops the item instead of waiting, so a
+//!   panicking detector cannot hang `submit`, the collector, `finish` or
+//!   `Drop`; [`FpService::finish`] re-raises the first stage panic.
+//! * **Flag identity with the batch path**: the shard workers are the
+//!   route kernel's, forked over the same anchor split as
+//!   `ingest_stream`; routing uses the same [`shard_for`] keys, the
 //!   enricher forwards work in admission order (FIFO queues preserve it
 //!   per shard), and detectors observe records in the same pre-verdict
 //!   state (`id == 0`, empty verdict set). For any anchor value the
@@ -40,15 +47,15 @@
 //!   loop would have shown it — verdict-for-verdict equivalence at any
 //!   shard count (property-tested in `tests/serve.rs`).
 //! * **In-order commit**: the collector holds a reorder buffer and
-//!   commits records to the store strictly in admission order, so dense
-//!   ids, iteration order and the sharded indexes all match the batch
-//!   paths.
+//!   commits records to the store strictly in admission order through
+//!   the kernel's chain-order commit, so dense ids, iteration order and
+//!   the sharded indexes all match the batch paths.
 
-use crate::site::{derive_record, HoneySite, DETECTOR_TIMING_SAMPLE};
+use crate::route::{RouteWorker, TaggedVerdicts};
+use crate::site::{derive_record, HoneySite};
 use crate::store::{RequestStore, StoredRequest};
-use fp_obs::{Counter, Gauge, Histogram, LocalHistogram};
-use fp_types::detect::{Detector, StateScope, Verdict};
-use fp_types::{shard_for, sym, CookieId, OverflowPolicy, Request, ServeConfig, Symbol};
+use fp_obs::{Counter, Gauge, Histogram};
+use fp_types::{shard_for, CookieId, OverflowPolicy, Request, ServeConfig};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -120,13 +127,16 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Push, waiting for space (the Block overflow posture).
+    /// Push, waiting for space (the Block overflow posture). A closed
+    /// queue has lost its consumer: the item is dropped, never waited on.
     fn push_block(&self, item: T) {
         let mut s = self.state.lock().expect("queue poisoned");
         while s.items.len() >= self.capacity && !s.closed {
             s = self.not_full.wait(s).expect("queue poisoned");
         }
-        debug_assert!(!s.closed, "push after close");
+        if s.closed {
+            return;
+        }
         s.items.push_back(item);
         s.peak = s.peak.max(s.items.len());
         drop(s);
@@ -174,6 +184,17 @@ impl<T> BoundedQueue<T> {
 
     fn peak(&self) -> usize {
         self.state.lock().expect("queue poisoned").peak
+    }
+}
+
+/// Runs its closure when dropped — on a normal exit and while unwinding
+/// from a panic alike. Each serving stage closes its queues through one,
+/// so a dying stage releases every stage waiting on it.
+struct OnExit<F: FnMut()>(F);
+
+impl<F: FnMut()> Drop for OnExit<F> {
+    fn drop(&mut self) {
+        (self.0)()
     }
 }
 
@@ -231,9 +252,6 @@ enum Route {
     Cookie,
 }
 
-/// Verdicts tagged by chain position (same shape as the batch merge).
-type TaggedVerdicts = Vec<(usize, Verdict)>;
-
 /// What shard workers hand the collector.
 enum Collected {
     Verdicts {
@@ -243,7 +261,8 @@ enum Collected {
         stamp: Option<Instant>,
         tagged: TaggedVerdicts,
     },
-    /// One per worker at shutdown; the collector exits after `2 * shards`.
+    /// One per worker when it exits, panics included; the collector
+    /// exits after `2 * shards`.
     WorkerDone,
 }
 
@@ -303,16 +322,7 @@ impl HoneySite {
             "serve() adopts a freshly built store; start from an empty site"
         );
         let n = config.shards.max(1);
-
-        // Routes, split exactly like the batch pipeline: stateless
-        // detectors ride the IP route so each request is decided once.
-        let ip_route: Vec<usize> = (0..self.chain().len())
-            .filter(|&i| self.chain()[i].scope() != StateScope::PerCookie)
-            .collect();
-        let cookie_route: Vec<usize> = (0..self.chain().len())
-            .filter(|&i| self.chain()[i].scope() == StateScope::PerCookie)
-            .collect();
-        let names: Vec<Symbol> = self.chain().iter().map(|d| sym(d.name())).collect();
+        let routes = self.routes().clone();
 
         let obs = self.site_metrics().map(|m| ServeObs {
             latency: m.latency_ns.clone(),
@@ -327,7 +337,6 @@ impl HoneySite {
             .site_metrics()
             .map(|m| m.detector_ns.clone())
             .unwrap_or_default();
-        let obs_on = obs.is_some();
 
         let ingress: Arc<BoundedQueue<IngressItem>> =
             Arc::new(BoundedQueue::new(config.ingress_capacity));
@@ -350,6 +359,12 @@ impl HoneySite {
             let cookie_queues = cookie_queues.clone();
             let gate = gate.clone();
             std::thread::spawn(move || {
+                let _close = OnExit(|| {
+                    ingress.close();
+                    for q in ip_queues.iter().chain(cookie_queues.iter()) {
+                        q.close();
+                    }
+                });
                 gate.wait_open();
                 while let Some(item) = ingress.pop_block() {
                     let record = Arc::new(derive_record(&item.request, item.cookie));
@@ -365,58 +380,34 @@ impl HoneySite {
                         stamp: item.stamp,
                     });
                 }
-                for q in ip_queues.iter().chain(cookie_queues.iter()) {
-                    q.close();
-                }
             })
         };
 
-        // Shard workers: fork the routed detectors, observe in queue
-        // (= admission) order, forward tagged verdicts. A worker blocks
-        // only on its own input queue and the collector sink — never on
-        // another worker.
+        // Shard workers: one kernel route worker each, observing in queue
+        // (= admission) order and forwarding tagged verdicts. A worker
+        // blocks only on its own input queue and the collector sink —
+        // never on another worker.
         let mut workers = Vec::with_capacity(2 * n);
-        for (route, route_chain, queues) in [
-            (Route::Ip, &ip_route, &ip_queues),
-            (Route::Cookie, &cookie_route, &cookie_queues),
+        for (route, positions, queues) in [
+            (Route::Ip, routes.ip(), &ip_queues),
+            (Route::Cookie, routes.cookie(), &cookie_queues),
         ] {
             for queue in queues.iter() {
-                let mut detectors: Vec<(usize, Box<dyn Detector>)> = route_chain
-                    .iter()
-                    .map(|&i| (i, self.chain()[i].fork()))
-                    .collect();
-                let timing_hists: Vec<Arc<Histogram>> = route_chain
-                    .iter()
-                    .filter_map(|&i| detector_ns.get(i).cloned())
-                    .collect();
+                let mut worker = RouteWorker::fork(self.chain(), positions, obs.is_some());
+                let detector_ns = detector_ns.clone();
                 let queue = queue.clone();
                 let out = collector_queue.clone();
                 workers.push(std::thread::spawn(move || {
-                    let mut timings =
-                        vec![LocalHistogram::new(); if obs_on { detectors.len() } else { 0 }];
+                    // Sign off however this worker exits: a worker that
+                    // died without its `WorkerDone` would leave the
+                    // collector (and `finish`) waiting forever, and its
+                    // full input queue would block the enricher.
+                    let _sign_off = OnExit(|| {
+                        queue.close();
+                        out.push_block(Collected::WorkerDone);
+                    });
                     while let Some(work) = queue.pop_block() {
-                        // Same deterministic 1-in-N timing sample as the
-                        // batch paths, keyed on the admission index.
-                        let tagged: TaggedVerdicts =
-                            if obs_on && work.seq.is_multiple_of(DETECTOR_TIMING_SAMPLE) {
-                                let mut last = Instant::now();
-                                detectors
-                                    .iter_mut()
-                                    .enumerate()
-                                    .map(|(k, (i, d))| {
-                                        let v = (*i, d.observe(&work.record));
-                                        let now = Instant::now();
-                                        timings[k].record((now - last).as_nanos() as u64);
-                                        last = now;
-                                        v
-                                    })
-                                    .collect()
-                            } else {
-                                detectors
-                                    .iter_mut()
-                                    .map(|(i, d)| (*i, d.observe(&work.record)))
-                                    .collect()
-                            };
+                        let tagged = worker.observe(work.seq, &work.record);
                         out.push_block(Collected::Verdicts {
                             seq: work.seq,
                             route,
@@ -425,10 +416,7 @@ impl HoneySite {
                             tagged,
                         });
                     }
-                    for (k, local) in timings.iter().enumerate() {
-                        timing_hists[k].merge_local(local);
-                    }
-                    out.push_block(Collected::WorkerDone);
+                    worker.flush(&detector_ns);
                 }));
             }
         }
@@ -440,6 +428,7 @@ impl HoneySite {
             let queue = collector_queue.clone();
             let latency = obs.as_ref().map(|o| o.latency.clone());
             std::thread::spawn(move || {
+                let _close = OnExit(|| queue.close());
                 let mut store = RequestStore::with_shards(n);
                 let mut pending: HashMap<u64, Pending> = HashMap::new();
                 let mut next = 0u64;
@@ -478,10 +467,7 @@ impl HoneySite {
                                     Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone());
                                 let mut tagged = e.ip.expect("checked above");
                                 tagged.extend(e.cookie.expect("checked above"));
-                                tagged.sort_by_key(|(chain_idx, _)| *chain_idx);
-                                for (chain_idx, verdict) in tagged {
-                                    record.verdicts.record(names[chain_idx], verdict);
-                                }
+                                routes.commit(&mut record, tagged);
                                 if let (Some(h), Some(stamp)) = (&latency, e.stamp) {
                                     h.record(stamp.elapsed().as_nanos() as u64);
                                 }
@@ -595,21 +581,16 @@ impl FpService {
     /// collector's store and hand the site back (rejection counts,
     /// cookie state, metrics and retention all preserved). Implicitly
     /// resumes a paused service first — queued work always completes.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first panic of any stage (in pipeline order:
+    /// enricher, shard workers, collector) — e.g. a faulty detector's —
+    /// once every stage has stopped.
     pub fn finish(mut self) -> HoneySite {
-        self.gate.open();
-        self.ingress.close();
-        if let Some(h) = self.enricher.take() {
-            h.join().expect("enricher panicked");
-        }
-        for h in self.workers.drain(..) {
-            h.join().expect("shard worker panicked");
-        }
         let store = self
-            .collector
-            .take()
-            .expect("collector present until finish")
-            .join()
-            .expect("collector panicked");
+            .stop()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
         if let Some(o) = &self.obs {
             o.ingress_peak.set(self.ingress.peak() as i64);
             let shard_peak = self
@@ -625,23 +606,44 @@ impl FpService {
         site.set_store(store);
         site
     }
+
+    /// Open the gate, close the intake and join every stage; the
+    /// collector's store, or the first stage panic in pipeline order.
+    /// Every join returns: each stage closes its queues on exit (see
+    /// [`OnExit`]), so a dead stage never strands a live one.
+    fn stop(&mut self) -> std::thread::Result<RequestStore> {
+        self.gate.open();
+        self.ingress.close();
+        let mut first_panic = None;
+        let stages = self
+            .enricher
+            .take()
+            .into_iter()
+            .chain(self.workers.drain(..));
+        for stage in stages {
+            if let Err(panic) = stage.join() {
+                first_panic.get_or_insert(panic);
+            }
+        }
+        let collected = self
+            .collector
+            .take()
+            .expect("collector present until stopped")
+            .join();
+        match first_panic {
+            Some(panic) => Err(panic),
+            None => collected,
+        }
+    }
 }
 
 impl Drop for FpService {
     /// Dropping without [`FpService::finish`] still shuts the stages
     /// down cleanly (open the gate, close the intake, join everything) —
-    /// the recorded store is discarded with the collector's result.
+    /// the recorded store, and any stage panic, are discarded.
     fn drop(&mut self) {
-        self.gate.open();
-        self.ingress.close();
-        if let Some(h) = self.enricher.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(h) = self.collector.take() {
-            let _ = h.join();
+        if self.collector.is_some() {
+            let _ = self.stop();
         }
     }
 }

@@ -10,6 +10,7 @@
 //! §7 deployment story — FP-Inconsistent running alongside the commercial
 //! services on live traffic.
 
+use crate::route::{RouteWorker, Routes};
 use crate::store::{RequestStore, StoredRequest};
 use fp_antibot::{BotD, DataDome};
 use fp_behavior::BehaviorDetector;
@@ -61,7 +62,12 @@ pub(crate) struct SiteMetrics {
 /// A honey site with a pluggable real-time detector chain.
 pub struct HoneySite {
     tokens: HashSet<Symbol>,
-    chain: Vec<Box<dyn Detector>>,
+    /// The chain prototypes, held as the sequential engine's route
+    /// worker: the whole chain on one shard. The sharded engines fork
+    /// their workers from these.
+    chain: RouteWorker,
+    /// The chain split by state anchor, names interned once.
+    routes: Routes,
     store: RequestStore,
     cookie_counter: u64,
     rejected: u64,
@@ -109,7 +115,8 @@ impl HoneySite {
     pub fn with_chain(chain: Vec<Box<dyn Detector>>) -> HoneySite {
         HoneySite {
             tokens: HashSet::new(),
-            chain,
+            routes: Routes::new(&chain),
+            chain: RouteWorker::new(chain),
             store: RequestStore::new(),
             cookie_counter: 0,
             rejected: 0,
@@ -128,10 +135,11 @@ impl HoneySite {
     /// histogram at push time.
     pub fn set_metrics(&mut self, registry: Arc<MetricsRegistry>) {
         let detector_ns = self
-            .chain
+            .chain()
             .iter()
             .map(|d| registry.histogram(&detector_metric_name(d.name())))
             .collect();
+        self.chain.set_timed(true);
         self.store.set_metrics(&registry);
         self.metrics = Some(SiteMetrics {
             admitted: registry.counter(REQUESTS_ADMITTED),
@@ -150,6 +158,11 @@ impl HoneySite {
     /// The site's instrument handles (streaming pipeline internals).
     pub(crate) fn site_metrics(&self) -> Option<&SiteMetrics> {
         self.metrics.as_ref()
+    }
+
+    /// The chain split by state anchor (sharded engine internals).
+    pub(crate) fn routes(&self) -> &Routes {
+        &self.routes
     }
 
     /// Set the store's retention policy (applied at each epoch seal;
@@ -181,12 +194,13 @@ impl HoneySite {
             m.detector_ns
                 .push(m.registry.histogram(&detector_metric_name(detector.name())));
         }
+        self.routes.push(detector.as_ref());
         self.chain.push(detector);
     }
 
     /// The detector chain, in execution order.
     pub fn chain(&self) -> &[Box<dyn Detector>] {
-        &self.chain
+        self.chain.detectors()
     }
 
     /// Register a site version (share its URL token with one party).
@@ -228,41 +242,14 @@ impl HoneySite {
 
         // Real-time decisions from the whole chain (Figure 3). Detectors
         // observe the record before any verdict is attached, exactly like
-        // the sharded pipeline, so the two paths are interchangeable.
-        let mut verdicts = VerdictSet::new();
-        // The arrival index of this admitted request (rejections never get
-        // here), keying the deterministic detector-timing sample.
-        let timing_sampled = self
-            .store
-            .total_ingested()
-            .is_multiple_of(DETECTOR_TIMING_SAMPLE);
-        match &self.metrics {
-            Some(m) if timing_sampled => {
-                // Chained stamps: one clock read per detector, the gap
-                // between consecutive stamps is that detector's observe()
-                // time. Sampled 1-in-DETECTOR_TIMING_SAMPLE by arrival
-                // index; every other request runs the bare loop below.
-                let mut last = Instant::now();
-                for (i, detector) in self.chain.iter_mut().enumerate() {
-                    let name = sym(detector.name());
-                    let verdict = detector.observe(&record);
-                    let now = Instant::now();
-                    m.detector_ns[i].record((now - last).as_nanos() as u64);
-                    last = now;
-                    verdicts.record(name, verdict);
-                }
-            }
-            _ => {
-                for detector in &mut self.chain {
-                    let name = sym(detector.name());
-                    let verdict = detector.observe(&record);
-                    verdicts.record(name, verdict);
-                }
-            }
-        }
-        record.verdicts = verdicts;
+        // the sharded engines, so the paths are interchangeable. The
+        // arrival index of this admitted request (rejections never get
+        // here) keys the deterministic detector-timing sample.
+        let tagged = self.chain.observe(self.store.total_ingested(), &record);
+        self.routes.commit(&mut record, tagged);
         let id = self.store.push(record);
         if let (Some(m), Some(start)) = (&self.metrics, start) {
+            self.chain.flush(&m.detector_ns);
             m.admitted.inc();
             m.latency_ns.record(start.elapsed().as_nanos() as u64);
         }

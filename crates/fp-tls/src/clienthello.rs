@@ -6,8 +6,11 @@
 //! smoltcp's spirit the omissions are explicit: no other handshake types, no
 //! record fragmentation/coalescing, extension bodies are kept opaque except
 //! for the three JA3 inputs (SNI, supported groups, EC point formats).
-
-use bytes::{Buf, BufMut, BytesMut};
+//!
+//! Writes are plain big-endian appends to a `Vec<u8>`; reads go through
+//! a small slice reader whose every read is bounds-checked and fails with
+//! [`ParseError::Truncated`] — the parser faces adversary bytes, so no
+//! input may make it panic.
 
 /// TLS GREASE values (RFC 8701): `0x?a?a`. They appear in ciphers,
 /// extensions and groups of Chromium/Safari hellos and must be ignored by
@@ -63,27 +66,27 @@ impl Extension {
     /// `server_name` extension for a DNS hostname.
     pub fn sni(host: &str) -> Extension {
         let name = host.as_bytes();
-        let mut body = BytesMut::with_capacity(name.len() + 5);
-        body.put_u16(name.len() as u16 + 3); // server_name_list length
-        body.put_u8(0); // name_type: host_name
-        body.put_u16(name.len() as u16);
-        body.put_slice(name);
+        let mut body = Vec::with_capacity(name.len() + 5);
+        put_u16(&mut body, name.len() as u16 + 3); // server_name_list length
+        body.push(0); // name_type: host_name
+        put_u16(&mut body, name.len() as u16);
+        body.extend_from_slice(name);
         Extension {
             typ: ext_type::SERVER_NAME,
-            body: body.to_vec(),
+            body,
         }
     }
 
     /// `supported_groups` extension.
     pub fn supported_groups(groups: &[u16]) -> Extension {
-        let mut body = BytesMut::with_capacity(groups.len() * 2 + 2);
-        body.put_u16(groups.len() as u16 * 2);
+        let mut body = Vec::with_capacity(groups.len() * 2 + 2);
+        put_u16(&mut body, groups.len() as u16 * 2);
         for g in groups {
-            body.put_u16(*g);
+            put_u16(&mut body, *g);
         }
         Extension {
             typ: ext_type::SUPPORTED_GROUPS,
-            body: body.to_vec(),
+            body,
         }
     }
 
@@ -145,146 +148,145 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Append `v` big-endian (network order, as every TLS length and code).
+fn put_u16(out: &mut Vec<u8>, v: u16) {
+    out.extend_from_slice(&v.to_be_bytes());
+}
+
+/// A read cursor over wire bytes. Every read names the field it reads and
+/// fails with [`ParseError::Truncated`] naming it, instead of reading past
+/// the end.
+struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    fn new(bytes: &'a [u8]) -> Reader<'a> {
+        Reader { rest: bytes }
+    }
+
+    fn remaining(&self) -> usize {
+        self.rest.len()
+    }
+
+    fn bytes(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], ParseError> {
+        let (head, rest) = self
+            .rest
+            .split_at_checked(n)
+            .ok_or(ParseError::Truncated(what))?;
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn u8(&mut self, what: &'static str) -> Result<u8, ParseError> {
+        Ok(self.bytes(1, what)?[0])
+    }
+
+    fn u16(&mut self, what: &'static str) -> Result<u16, ParseError> {
+        let b = self.bytes(2, what)?;
+        Ok(u16::from_be_bytes([b[0], b[1]]))
+    }
+}
+
 impl ClientHello {
     /// Serialise to the full wire form: TLS record header + handshake
     /// header + body.
     pub fn to_wire(&self) -> Vec<u8> {
         let body = self.body_bytes();
-        let mut out = BytesMut::with_capacity(body.len() + 9);
+        let mut out = Vec::with_capacity(body.len() + 9);
         // Record layer.
-        out.put_u8(22); // handshake
-        out.put_u16(0x0301); // record version, historically TLS 1.0
-        out.put_u16(body.len() as u16 + 4);
+        out.push(22); // handshake
+        put_u16(&mut out, 0x0301); // record version, historically TLS 1.0
+        put_u16(&mut out, body.len() as u16 + 4);
         // Handshake layer.
-        out.put_u8(1); // client_hello
-        let len = body.len() as u32;
-        out.put_u8((len >> 16) as u8);
-        out.put_u16((len & 0xffff) as u16);
-        out.put_slice(&body);
-        out.to_vec()
+        out.push(1); // client_hello
+        out.extend_from_slice(&(body.len() as u32).to_be_bytes()[1..]); // u24 length
+        out.extend_from_slice(&body);
+        out
     }
 
     fn body_bytes(&self) -> Vec<u8> {
-        let mut b = BytesMut::with_capacity(512);
-        b.put_u16(self.version);
-        b.put_slice(&self.random);
-        b.put_u8(self.session_id.len() as u8);
-        b.put_slice(&self.session_id);
-        b.put_u16(self.cipher_suites.len() as u16 * 2);
+        let mut b = Vec::with_capacity(512);
+        put_u16(&mut b, self.version);
+        b.extend_from_slice(&self.random);
+        b.push(self.session_id.len() as u8);
+        b.extend_from_slice(&self.session_id);
+        put_u16(&mut b, self.cipher_suites.len() as u16 * 2);
         for c in &self.cipher_suites {
-            b.put_u16(*c);
+            put_u16(&mut b, *c);
         }
-        b.put_u8(self.compression.len() as u8);
-        b.put_slice(&self.compression);
+        b.push(self.compression.len() as u8);
+        b.extend_from_slice(&self.compression);
         let ext_len: usize = self.extensions.iter().map(|e| 4 + e.body.len()).sum();
-        b.put_u16(ext_len as u16);
+        put_u16(&mut b, ext_len as u16);
         for e in &self.extensions {
-            b.put_u16(e.typ);
-            b.put_u16(e.body.len() as u16);
-            b.put_slice(&e.body);
+            put_u16(&mut b, e.typ);
+            put_u16(&mut b, e.body.len() as u16);
+            b.extend_from_slice(&e.body);
         }
-        b.to_vec()
+        b
     }
 
     /// Parse from the full wire form produced by [`ClientHello::to_wire`]
     /// (or by a real client, provided the hello fits one record).
     pub fn parse(wire: &[u8]) -> Result<ClientHello, ParseError> {
-        let mut buf = wire;
-        if buf.remaining() < 5 {
-            return Err(ParseError::Truncated("record header"));
-        }
-        let content_type = buf.get_u8();
+        let mut record = Reader::new(wire);
+        let content_type = record.u8("record header")?;
         if content_type != 22 {
             return Err(ParseError::NotHandshake(content_type));
         }
-        let _record_version = buf.get_u16();
-        let record_len = buf.get_u16() as usize;
-        if buf.remaining() < record_len {
-            return Err(ParseError::Truncated("record body"));
+        let _record_version = record.u16("record header")?;
+        let record_len = record.u16("record header")? as usize;
+        let mut handshake = Reader::new(record.bytes(record_len, "record body")?);
+        if record.remaining() > 0 {
+            return Err(ParseError::TrailingBytes(record.remaining()));
         }
-        if buf.remaining() > record_len {
-            return Err(ParseError::TrailingBytes(buf.remaining() - record_len));
-        }
-        if record_len < 4 {
-            return Err(ParseError::Truncated("handshake header"));
-        }
-        let hs_type = buf.get_u8();
+        let hs_type = handshake.u8("handshake header")?;
         if hs_type != 1 {
             return Err(ParseError::NotClientHello(hs_type));
         }
-        let hs_len = ((buf.get_u8() as usize) << 16) | buf.get_u16() as usize;
-        if hs_len != record_len - 4 {
+        let hs_len = (handshake.u8("handshake header")? as usize) << 16
+            | handshake.u16("handshake header")? as usize;
+        if hs_len != handshake.remaining() {
             return Err(ParseError::BadLength("handshake length vs record length"));
         }
-        Self::parse_body(buf)
+        Self::parse_body(handshake)
     }
 
-    fn parse_body(mut buf: &[u8]) -> Result<ClientHello, ParseError> {
-        if buf.remaining() < 34 {
-            return Err(ParseError::Truncated("version/random"));
-        }
-        let version = buf.get_u16();
+    fn parse_body(mut buf: Reader<'_>) -> Result<ClientHello, ParseError> {
+        let version = buf.u16("version/random")?;
         let mut random = [0u8; 32];
-        buf.copy_to_slice(&mut random);
+        random.copy_from_slice(buf.bytes(32, "version/random")?);
 
-        if buf.remaining() < 1 {
-            return Err(ParseError::Truncated("session id length"));
-        }
-        let sid_len = buf.get_u8() as usize;
-        if buf.remaining() < sid_len {
-            return Err(ParseError::Truncated("session id"));
-        }
-        let session_id = buf[..sid_len].to_vec();
-        buf.advance(sid_len);
+        let sid_len = buf.u8("session id length")? as usize;
+        let session_id = buf.bytes(sid_len, "session id")?.to_vec();
 
-        if buf.remaining() < 2 {
-            return Err(ParseError::Truncated("cipher suites length"));
-        }
-        let cs_len = buf.get_u16() as usize;
+        let cs_len = buf.u16("cipher suites length")? as usize;
         if !cs_len.is_multiple_of(2) {
             return Err(ParseError::BadLength("cipher suites (odd)"));
         }
-        if buf.remaining() < cs_len {
-            return Err(ParseError::Truncated("cipher suites"));
-        }
-        let mut cipher_suites = Vec::with_capacity(cs_len / 2);
-        for _ in 0..cs_len / 2 {
-            cipher_suites.push(buf.get_u16());
-        }
+        let cipher_suites = buf
+            .bytes(cs_len, "cipher suites")?
+            .chunks_exact(2)
+            .map(|c| u16::from_be_bytes([c[0], c[1]]))
+            .collect();
 
-        if buf.remaining() < 1 {
-            return Err(ParseError::Truncated("compression length"));
-        }
-        let comp_len = buf.get_u8() as usize;
-        if buf.remaining() < comp_len {
-            return Err(ParseError::Truncated("compression methods"));
-        }
-        let compression = buf[..comp_len].to_vec();
-        buf.advance(comp_len);
+        let comp_len = buf.u8("compression length")? as usize;
+        let compression = buf.bytes(comp_len, "compression methods")?.to_vec();
 
         let mut extensions = Vec::new();
-        if buf.has_remaining() {
-            if buf.remaining() < 2 {
-                return Err(ParseError::Truncated("extensions length"));
-            }
-            let ext_total = buf.get_u16() as usize;
+        if buf.remaining() > 0 {
+            let ext_total = buf.u16("extensions length")? as usize;
             if buf.remaining() != ext_total {
                 return Err(ParseError::BadLength("extensions block"));
             }
-            while buf.has_remaining() {
-                if buf.remaining() < 4 {
-                    return Err(ParseError::Truncated("extension header"));
-                }
-                let typ = buf.get_u16();
-                let len = buf.get_u16() as usize;
-                if buf.remaining() < len {
-                    return Err(ParseError::Truncated("extension body"));
-                }
+            while buf.remaining() > 0 {
+                let typ = buf.u16("extension header")?;
+                let len = buf.u16("extension header")? as usize;
                 extensions.push(Extension {
                     typ,
-                    body: buf[..len].to_vec(),
+                    body: buf.bytes(len, "extension body")?.to_vec(),
                 });
-                buf.advance(len);
             }
         }
 
@@ -307,14 +309,17 @@ impl ClientHello {
         else {
             return Vec::new();
         };
-        let mut buf = ext.body.as_slice();
-        if buf.remaining() < 2 {
+        let mut buf = Reader::new(&ext.body);
+        let Ok(len) = buf.u16("supported groups length") else {
             return Vec::new();
-        }
-        let len = buf.get_u16() as usize;
-        let mut out = Vec::with_capacity(len / 2);
-        while buf.remaining() >= 2 && out.len() < len / 2 {
-            out.push(buf.get_u16());
+        };
+        let len = len as usize / 2;
+        let mut out = Vec::with_capacity(len);
+        while out.len() < len {
+            let Ok(group) = buf.u16("supported group") else {
+                break;
+            };
+            out.push(group);
         }
         out
     }
@@ -341,20 +346,13 @@ impl ClientHello {
             .extensions
             .iter()
             .find(|e| e.typ == ext_type::SERVER_NAME)?;
-        let mut buf = ext.body.as_slice();
-        if buf.remaining() < 5 {
+        let mut buf = Reader::new(&ext.body);
+        let _list_len = buf.u16("server name list length").ok()?;
+        if buf.u8("server name type").ok()? != 0 {
             return None;
         }
-        let _list_len = buf.get_u16();
-        let name_type = buf.get_u8();
-        if name_type != 0 {
-            return None;
-        }
-        let name_len = buf.get_u16() as usize;
-        if buf.remaining() < name_len {
-            return None;
-        }
-        String::from_utf8(buf[..name_len].to_vec()).ok()
+        let name_len = buf.u16("server name length").ok()? as usize;
+        String::from_utf8(buf.bytes(name_len, "server name").ok()?.to_vec()).ok()
     }
 }
 

@@ -9,7 +9,7 @@
 //! * [`DecisionPolicy`] — maps one request's recorded [`VerdictSet`] (plus
 //!   the little admission-side context a real gateway has: address
 //!   identity, time, prior offenses) to a [`MitigationAction`]. The old
-//!   global vote threshold is one implementation ([`VoteThreshold`]);
+//!   global vote threshold is one implementation ([`ResponsePolicy`]);
 //!   per-detector weights ([`WeightedVotes`]), per-detector actions
 //!   ([`PerDetectorActions`]), escalating TTLs keyed on repeat offenses
 //!   ([`EscalatingTtl`]) and the CAPTCHA-then-block hybrid
@@ -30,7 +30,7 @@
 //! chain lives); this module is deliberately only the contract, so every
 //! crate can implement members and policies without a dependency cycle.
 
-use crate::clock::SimTime;
+use crate::clock::{SimTime, STUDY_DAYS};
 use crate::detect::{Detector, VerdictSet};
 use crate::interner::Symbol;
 use crate::mitigation::MitigationAction;
@@ -83,52 +83,124 @@ pub trait DecisionPolicy: Send {
     }
 }
 
-/// The pre-redesign global policy: act when at least `min_votes` detectors
-/// flagged the request, whatever those detectors were.
+/// Default TTL for [`ResponsePolicy::block`]: one full campaign window
+/// (91 days), so a block issued mid-round still binds through part of the
+/// next round and measurably decays across it.
+pub const DEFAULT_BLOCK_TTL_SECS: u64 = STUDY_DAYS as u64 * 86_400;
+
+/// The static global vote threshold — how the site answers a flagged
+/// request when no richer policy is configured.
+///
+/// A request is acted on when at least `min_votes` detectors flagged it,
+/// whatever those detectors were (1 = any flag acts, higher values trade
+/// recall for collateral safety). The paper's honey site runs
+/// [`ResponsePolicy::shadow`] — record every verdict, serve every page —
+/// which is ideal for measurement and useless as mitigation. Production
+/// sites pick a visible action, and the §6 finding is that visible
+/// mitigation *teaches* evasive services: they rotate IPs and mutate
+/// fingerprint attributes until they slip back in. The policy is
+/// therefore the arena's independent variable: same traffic, same
+/// detectors, four different feedback signals to the adversary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct VoteThreshold {
-    /// Display name for reports.
+pub struct ResponsePolicy {
+    /// Display name for reports and tables.
     pub name: &'static str,
     /// Number of flagging detectors required before the action applies.
     pub min_votes: usize,
-    /// The action applied to triggered requests.
+    /// The action applied to triggered requests; everything else is served
+    /// normally.
     pub action: MitigationAction,
 }
 
-impl VoteThreshold {
-    /// A threshold policy with an explicit name.
-    pub fn new(name: &'static str, min_votes: usize, action: MitigationAction) -> VoteThreshold {
-        VoteThreshold {
-            name,
-            min_votes: min_votes.max(1),
-            action,
+impl ResponsePolicy {
+    /// Serve everything (the do-nothing control: no feedback, no denial).
+    pub fn allow() -> ResponsePolicy {
+        ResponsePolicy {
+            name: "allow",
+            min_votes: 1,
+            action: MitigationAction::Allow,
         }
     }
 
-    /// Any single flag triggers `action`.
-    pub fn any(name: &'static str, action: MitigationAction) -> VoteThreshold {
-        VoteThreshold::new(name, 1, action)
+    /// Challenge flagged requests with a CAPTCHA — visible to the client,
+    /// but no blocklist entry, so the same address can try again.
+    pub fn captcha() -> ResponsePolicy {
+        ResponsePolicy {
+            name: "captcha",
+            min_votes: 1,
+            action: MitigationAction::Captcha,
+        }
     }
 
-    /// The paper's own measurement posture: record every flag, serve every
-    /// page. The default stack ships with this.
-    pub fn shadow() -> VoteThreshold {
-        VoteThreshold::any("shadow", MitigationAction::ShadowFlag)
-    }
-}
-
-impl DecisionPolicy for VoteThreshold {
-    fn name(&self) -> &str {
-        self.name
+    /// Deny flagged requests and blocklist their address for `ttl_secs` of
+    /// simulated time (enforced at admission until expiry).
+    pub fn block(ttl_secs: u64) -> ResponsePolicy {
+        ResponsePolicy {
+            name: "block",
+            min_votes: 1,
+            action: MitigationAction::Block(ttl_secs),
+        }
     }
 
-    fn decide(&self, ctx: &DecisionContext<'_>) -> MitigationAction {
-        let votes = ctx.verdicts.iter().filter(|(_, v)| v.is_bot()).count();
+    /// Record the flag, serve the page — the paper's own measurement
+    /// posture. The adversary sees pure success and never adapts. The
+    /// default defense stack ships with this.
+    pub fn shadow() -> ResponsePolicy {
+        ResponsePolicy {
+            name: "shadow",
+            min_votes: 1,
+            action: MitigationAction::ShadowFlag,
+        }
+    }
+
+    /// The same policy with a different vote threshold (at least 1).
+    pub fn with_min_votes(mut self, min_votes: usize) -> ResponsePolicy {
+        self.min_votes = min_votes.max(1);
+        self
+    }
+
+    /// The four shipped policies, in ablation order.
+    pub fn all() -> [ResponsePolicy; 4] {
+        [
+            ResponsePolicy::allow(),
+            ResponsePolicy::shadow(),
+            ResponsePolicy::captcha(),
+            ResponsePolicy::block(DEFAULT_BLOCK_TTL_SECS),
+        ]
+    }
+
+    /// Decide one request from its recorded verdicts alone — all a static
+    /// threshold reads, so this is also its [`DecisionPolicy::decide`].
+    pub fn decide(&self, verdicts: &VerdictSet) -> MitigationAction {
+        let votes = verdicts.iter().filter(|(_, v)| v.is_bot()).count();
         if votes >= self.min_votes {
             self.action
         } else {
             MitigationAction::Allow
         }
+    }
+
+    /// Lift this policy onto the repeat-offender escalation ladder: every
+    /// `Block` it issues starts from its own TTL and multiplies by
+    /// `multiplier` per prior offense, capped at `max_ttl_secs` (see
+    /// [`EscalatingTtl`]). Non-block policies start from
+    /// [`DEFAULT_BLOCK_TTL_SECS`].
+    pub fn escalating(self, multiplier: u64, max_ttl_secs: u64) -> EscalatingTtl {
+        let base = match self.action {
+            MitigationAction::Block(ttl_secs) => ttl_secs,
+            _ => DEFAULT_BLOCK_TTL_SECS,
+        };
+        EscalatingTtl::new(Box::new(self), base, multiplier, max_ttl_secs)
+    }
+}
+
+impl DecisionPolicy for ResponsePolicy {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn decide(&self, ctx: &DecisionContext<'_>) -> MitigationAction {
+        ResponsePolicy::decide(self, ctx.verdicts)
     }
 }
 
@@ -564,25 +636,66 @@ mod tests {
 
     #[test]
     fn vote_threshold_counts_flags() {
-        let policy = VoteThreshold::new("blocky", 2, MitigationAction::Block(100));
+        let policy = ResponsePolicy::block(100).with_min_votes(2);
         let one = verdicts(&["a"], &["b", "c"]);
         let two = verdicts(&["a", "b"], &["c"]);
-        assert_eq!(policy.decide(&ctx(&one, 0)), MitigationAction::Allow);
-        assert_eq!(policy.decide(&ctx(&two, 0)), MitigationAction::Block(100));
-        assert_eq!(policy.name(), "blocky");
+        assert_eq!(policy.decide(&one), MitigationAction::Allow);
+        assert_eq!(policy.decide(&two), MitigationAction::Block(100));
         assert_eq!(
-            VoteThreshold::new("x", 0, MitigationAction::Captcha).min_votes,
-            1
+            DecisionPolicy::decide(&policy, &ctx(&two, 7)),
+            MitigationAction::Block(100),
+            "as a DecisionPolicy it reads the verdicts alone"
+        );
+        assert_eq!(DecisionPolicy::name(&policy), "block");
+        assert_eq!(
+            ResponsePolicy::captcha().with_min_votes(0).min_votes,
+            1,
+            "the vote floor is one"
+        );
+    }
+
+    #[test]
+    fn allow_policy_never_acts() {
+        let flagged = verdicts(&["a", "b", "c"], &[]);
+        assert_eq!(
+            ResponsePolicy::allow().decide(&flagged),
+            MitigationAction::Allow
         );
     }
 
     #[test]
     fn shadow_policy_is_invisible() {
-        let policy = VoteThreshold::shadow();
+        let policy = ResponsePolicy::shadow();
         let flagged = verdicts(&["a"], &[]);
-        let action = policy.decide(&ctx(&flagged, 0));
+        let action = policy.decide(&flagged);
         assert_eq!(action, MitigationAction::ShadowFlag);
         assert!(!action.visible_to_client());
+    }
+
+    #[test]
+    fn escalating_block_ladders_from_the_policy_ttl() {
+        let policy = ResponsePolicy::block(1_000).escalating(3, 100_000);
+        let flagged = verdicts(&["a"], &[]);
+        assert_eq!(
+            policy.decide(&ctx(&flagged, 0)),
+            MitigationAction::Block(1_000)
+        );
+        assert_eq!(
+            policy.decide(&ctx(&flagged, 1)),
+            MitigationAction::Block(3_000)
+        );
+        assert_eq!(
+            policy.decide(&ctx(&flagged, 4)),
+            MitigationAction::Block(81_000)
+        );
+        assert_eq!(
+            policy.decide(&ctx(&flagged, 40)),
+            MitigationAction::Block(100_000),
+            "capped"
+        );
+        // Non-block policies fall back to the default block TTL base.
+        let from_captcha = ResponsePolicy::captcha().escalating(2, u64::MAX);
+        assert_eq!(from_captcha.ttl_for(0), DEFAULT_BLOCK_TTL_SECS);
     }
 
     #[test]
@@ -649,12 +762,7 @@ mod tests {
 
     #[test]
     fn escalating_ttl_grows_with_offenses_and_caps() {
-        let policy = EscalatingTtl::new(
-            Box::new(VoteThreshold::any("block", MitigationAction::Block(0))),
-            1_000,
-            4,
-            50_000,
-        );
+        let policy = EscalatingTtl::new(Box::new(ResponsePolicy::block(0)), 1_000, 4, 50_000);
         assert_eq!(policy.ttl_for(0), 1_000);
         assert_eq!(policy.ttl_for(1), 4_000);
         assert_eq!(policy.ttl_for(2), 16_000);
@@ -674,22 +782,14 @@ mod tests {
 
     #[test]
     fn escalating_ttl_leaves_non_blocks_alone() {
-        let policy = EscalatingTtl::new(
-            Box::new(VoteThreshold::any("captcha", MitigationAction::Captcha)),
-            1_000,
-            2,
-            10_000,
-        );
+        let policy = EscalatingTtl::new(Box::new(ResponsePolicy::captcha()), 1_000, 2, 10_000);
         let flagged = verdicts(&["a"], &[]);
         assert_eq!(policy.decide(&ctx(&flagged, 3)), MitigationAction::Captcha);
     }
 
     #[test]
     fn captcha_escalation_challenges_first_then_blocks() {
-        let policy = CaptchaEscalation::new(
-            Box::new(VoteThreshold::any("block", MitigationAction::Block(500))),
-            9_000,
-        );
+        let policy = CaptchaEscalation::new(Box::new(ResponsePolicy::block(500)), 9_000);
         assert_eq!(policy.name(), "captcha-then-block-block");
         assert_eq!(policy.block_ttl_secs(), 9_000);
         assert_eq!(
@@ -719,10 +819,7 @@ mod tests {
     fn captcha_escalation_composes_with_ttl_escalation() {
         // The hybrid's repeat-offender blocks can ride the TTL ladder:
         // escalating(captcha-then-block) blocks at base·mult^offenses.
-        let hybrid = CaptchaEscalation::new(
-            Box::new(VoteThreshold::any("t", MitigationAction::Captcha)),
-            1_000,
-        );
+        let hybrid = CaptchaEscalation::new(Box::new(ResponsePolicy::captcha()), 1_000);
         let policy = EscalatingTtl::new(Box::new(hybrid), 1_000, 3, 100_000);
         assert_eq!(
             policy.captcha_strike_ttl(),
@@ -739,17 +836,9 @@ mod tests {
 
     #[test]
     fn plain_policies_do_not_strike_on_captcha() {
-        assert_eq!(VoteThreshold::shadow().captcha_strike_ttl(), None);
-        assert_eq!(
-            VoteThreshold::any("c", MitigationAction::Captcha).captcha_strike_ttl(),
-            None
-        );
-        let esc = EscalatingTtl::new(
-            Box::new(VoteThreshold::any("b", MitigationAction::Block(1))),
-            1,
-            2,
-            10,
-        );
+        assert_eq!(ResponsePolicy::shadow().captcha_strike_ttl(), None);
+        assert_eq!(ResponsePolicy::captcha().captcha_strike_ttl(), None);
+        let esc = EscalatingTtl::new(Box::new(ResponsePolicy::block(1)), 1, 2, 10);
         assert_eq!(
             esc.captcha_strike_ttl(),
             None,

@@ -10,14 +10,14 @@
 //! with, while every chain built after the swap sees the new one — the
 //! exact mid-round semantics the closed-loop arena needs.
 //!
-//! The implementation is a `parking_lot::RwLock<Arc<T>>`: `load` holds
+//! The implementation is a `std::sync::RwLock<Arc<T>>`: `load` holds
 //! the read lock only long enough to clone the `Arc` (a refcount bump),
 //! `swap` holds the write lock only for the pointer exchange. Neither
 //! ever blocks on an evaluation, because evaluations run against the
-//! cloned `Arc`, never against the slot.
+//! cloned `Arc`, never against the slot. Neither can panic while holding
+//! the lock either, so a poisoned lock is recovered, not propagated.
 
-use parking_lot::RwLock;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// An atomically swappable `Arc<T>` slot (see the module docs for the
 /// publication semantics).
@@ -42,14 +42,18 @@ impl<T> HotSwap<T> {
     /// unchanged) across any number of subsequent [`HotSwap::swap`]s —
     /// that is the no-barrier property.
     pub fn load(&self) -> Arc<T> {
-        self.slot.read().clone()
+        self.slot
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Publish `next`, returning the previously published artifact (so
     /// the writer can diff old vs new for its ledger). Readers holding
     /// snapshots are unaffected.
     pub fn swap(&self, next: Arc<T>) -> Arc<T> {
-        std::mem::replace(&mut *self.slot.write(), next)
+        let mut slot = self.slot.write().unwrap_or_else(PoisonError::into_inner);
+        std::mem::replace(&mut *slot, next)
     }
 
     /// Convenience: publish an owned value.
@@ -60,7 +64,7 @@ impl<T> HotSwap<T> {
 
 impl<T: std::fmt::Debug> std::fmt::Debug for HotSwap<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("HotSwap").field(&*self.slot.read()).finish()
+        f.debug_tuple("HotSwap").field(&*self.load()).finish()
     }
 }
 

@@ -6,12 +6,14 @@
 //! `&'static str`. Leaking is deliberate — the interner lives for the whole
 //! measurement run and the total distinct-string volume is a few megabytes.
 //!
-//! Interning is thread-safe (`parking_lot::RwLock`) so traffic generators can
-//! run on `crossbeam` scoped threads.
+//! Interning is thread-safe (`std::sync::RwLock`) so traffic generators can
+//! run on scoped threads. A poisoned lock is recovered rather than
+//! propagated: the table is only ever mutated by appending a fully built
+//! entry, so a panic elsewhere cannot leave it half-written.
 
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A handle to an interned string. `Copy`, 4 bytes, equality is an integer
 /// compare. Resolve back with [`Symbol::as_str`].
@@ -25,6 +27,14 @@ struct Table {
 
 static TABLE: RwLock<Option<Table>> = RwLock::new(None);
 
+fn read_table() -> RwLockReadGuard<'static, Option<Table>> {
+    TABLE.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write_table() -> RwLockWriteGuard<'static, Option<Table>> {
+    TABLE.write().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The global interner. All [`Symbol`]s are created through here (usually via
 /// the [`sym`] convenience function).
 pub struct Interner;
@@ -34,14 +44,14 @@ impl Interner {
     pub fn intern(s: &str) -> Symbol {
         // Fast path: read lock only.
         {
-            let guard = TABLE.read();
+            let guard = read_table();
             if let Some(table) = guard.as_ref() {
                 if let Some(&id) = table.index.get(s) {
                     return Symbol(id);
                 }
             }
         }
-        let mut guard = TABLE.write();
+        let mut guard = write_table();
         let table = guard.get_or_insert_with(|| Table {
             strings: Vec::with_capacity(1024),
             index: HashMap::with_capacity(1024),
@@ -58,15 +68,14 @@ impl Interner {
 
     /// Number of distinct strings interned so far.
     pub fn len() -> usize {
-        TABLE.read().as_ref().map_or(0, |t| t.strings.len())
+        read_table().as_ref().map_or(0, |t| t.strings.len())
     }
 }
 
 impl Symbol {
     /// Resolve the symbol back to its string.
     pub fn as_str(self) -> &'static str {
-        let guard = TABLE.read();
-        guard
+        read_table()
             .as_ref()
             .and_then(|t| t.strings.get(self.0 as usize).copied())
             .expect("symbol from foreign interner")

@@ -88,7 +88,7 @@ pub use behavior::{BehaviorFacet, BehaviorThresholds};
 pub use clock::{SimClock, SimTime, STUDY_DAYS, STUDY_EPOCH_UNIX};
 pub use defense::{
     CaptchaEscalation, DecisionContext, DecisionPolicy, EscalatingTtl, Frozen, PerDetectorActions,
-    RetrainSpend, RoundContext, StackMember, VoteThreshold, WeightedVotes,
+    ResponsePolicy, RetrainSpend, RoundContext, StackMember, WeightedVotes, DEFAULT_BLOCK_TTL_SECS,
 };
 pub use detect::{Detector, StateScope, Verdict, VerdictSet};
 pub use fingerprint::Fingerprint;

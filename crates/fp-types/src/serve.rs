@@ -6,8 +6,8 @@
 //! behind bounded queues so requests are admitted one at a time, the way
 //! a deployed honey site sees them. This module holds only the *shape*
 //! of that service — queue capacities and the overflow contract — so
-//! `fp-arena` and `fp-bench` can describe a serving topology without
-//! depending on the implementation crate.
+//! `fp-bench` and the benchmark harness can describe a serving topology
+//! without depending on the implementation crate.
 
 use crate::mix::shard_for;
 
@@ -16,8 +16,8 @@ use crate::mix::shard_for;
 pub enum OverflowPolicy {
     /// Block the submitting caller until the queue drains. Nothing is
     /// dropped; admission-to-verdict latency absorbs the wait. This is
-    /// the arena/benchmark default — closed-loop rounds need every
-    /// admitted request to reach a verdict.
+    /// the benchmark default — a closed loop needs every admitted
+    /// request to reach a verdict.
     Block,
     /// Shed the request: `submit` returns immediately with a shed
     /// outcome and bumps the `serve_requests_shed` counter. This is the
@@ -27,8 +27,8 @@ pub enum OverflowPolicy {
 
 /// Queue topology and backpressure contract for one serving session.
 ///
-/// All fields are plain `Copy` data so configs embed in `ArenaConfig`
-/// (which stays `Copy`) and in bench drivers without ceremony.
+/// All fields are plain `Copy` data so configs embed in bench drivers
+/// and test fixtures without ceremony.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Detector shard count per route (IP-scoped and cookie-scoped
@@ -56,9 +56,9 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A serving config with the given shard count and the defaults the
-    /// arena uses: generous queues (1024-deep ingress, 256-deep shard
-    /// queues), blocking overflow, not paused.
+    /// A serving config with the given shard count and generous
+    /// defaults: 1024-deep ingress and 256-deep shard queues, blocking
+    /// overflow, not paused.
     pub fn with_shards(shards: usize) -> ServeConfig {
         ServeConfig {
             shards: shards.max(1),

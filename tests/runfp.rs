@@ -34,7 +34,6 @@ fn base_config() -> ArenaConfig {
         retention: RetentionPolicy::KeepAll,
         agent_humanise: None,
         behavior_refit: None,
-        serve: None,
     }
 }
 

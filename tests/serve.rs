@@ -4,14 +4,16 @@
 //! over-capacity remainder under a flash crowd, and never deadlock.
 
 use fp_honeysite::serve::{SERVE_REQUESTS_DENIED, SERVE_REQUESTS_SHED};
-use fp_honeysite::SubmitOutcome;
+use fp_honeysite::{StoredRequest, SubmitOutcome};
 use fp_inconsistent::prelude::*;
 use fp_obs::MetricsRegistry;
 use fp_types::{
-    sym, AttrId, BehaviorTrace, Fingerprint, OverflowPolicy, ServeConfig, SimTime, TrafficSource,
+    sym, AttrId, BehaviorTrace, Fingerprint, OverflowPolicy, ServeConfig, SimTime, StateScope,
+    TrafficSource,
 };
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -197,6 +199,135 @@ fn admission_gate_denies_on_the_hot_path() {
     assert_eq!(
         registry.snapshot().counter(SERVE_REQUESTS_DENIED),
         Some(denied)
+    );
+}
+
+// ---------------------------------------------------------------------
+// Fault: a detector that panics mid-stream must fail every engine the
+// same way — its own panic on the caller's thread — and hang none.
+
+const DETECTOR_FAULT: &str = "detector fault on the 10th observe";
+
+/// Panics on its 10th `observe` (each shard fork counts its own).
+struct PanicsOnTenth {
+    seen: u32,
+    scope: StateScope,
+}
+
+impl Detector for PanicsOnTenth {
+    fn name(&self) -> &'static str {
+        "panics-on-tenth"
+    }
+    fn scope(&self) -> StateScope {
+        self.scope
+    }
+    fn observe(&mut self, _request: &StoredRequest) -> Verdict {
+        self.seen += 1;
+        assert!(self.seen < 10, "{DETECTOR_FAULT}");
+        Verdict::Human
+    }
+    fn reset(&mut self) {
+        self.seen = 0;
+    }
+    fn fork(&self) -> Box<dyn Detector> {
+        Box::new(PanicsOnTenth {
+            seen: 0,
+            scope: self.scope,
+        })
+    }
+}
+
+fn faulty_site(scope: StateScope) -> HoneySite {
+    let mut site = full_chain_site();
+    site.push_detector(Box::new(PanicsOnTenth { seen: 0, scope }));
+    site
+}
+
+/// Run `engine` on its own thread under a timeout and return the message
+/// of the panic it raised (`None` if it returned normally).
+fn panic_of(engine: impl FnOnce() + Send + 'static) -> Option<String> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let raised = catch_unwind(AssertUnwindSafe(engine)).err().map(|panic| {
+            panic
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default()
+        });
+        let _ = tx.send(raised);
+    });
+    rx.recv_timeout(Duration::from_secs(60))
+        .expect("an engine hung on a panicking detector")
+}
+
+/// The regression for the serving hang: a dead shard worker used to
+/// leave the collector, `finish` and `Drop` waiting forever (and, under
+/// Block, `submit` once its queue filled). Tiny queues make the old hang
+/// certain; both routes and both shard counts are covered.
+#[test]
+fn a_panicking_detector_fails_every_engine_without_hanging() {
+    let requests = varied_requests(100);
+    for scope in [StateScope::Stateless, StateScope::PerCookie] {
+        let batch = requests.clone();
+        assert_eq!(
+            panic_of(move || faulty_site(scope).ingest_all(batch)).as_deref(),
+            Some(DETECTOR_FAULT),
+            "ingest_all, {scope:?}"
+        );
+        for shards in [1usize, 2] {
+            let stream = requests.clone();
+            assert_eq!(
+                panic_of(move || {
+                    faulty_site(scope).ingest_stream(stream, shards);
+                })
+                .as_deref(),
+                Some(DETECTOR_FAULT),
+                "ingest_stream at {shards} shards, {scope:?}"
+            );
+            let served = requests.clone();
+            assert_eq!(
+                panic_of(move || {
+                    let mut service = faulty_site(scope).serve(ServeConfig {
+                        shards,
+                        ingress_capacity: 2,
+                        shard_capacity: 2,
+                        overflow: OverflowPolicy::Block,
+                        start_paused: false,
+                    });
+                    for request in served {
+                        service.submit(request);
+                    }
+                    service.finish();
+                })
+                .as_deref(),
+                Some(DETECTOR_FAULT),
+                "serve at {shards} shards, {scope:?}"
+            );
+        }
+    }
+}
+
+/// Dropping a service whose worker died returns too (the stage panic is
+/// discarded with the store).
+#[test]
+fn dropping_a_service_with_a_dead_worker_returns() {
+    let requests = varied_requests(100);
+    assert_eq!(
+        panic_of(move || {
+            let mut service = faulty_site(StateScope::Stateless).serve(ServeConfig {
+                shards: 2,
+                ingress_capacity: 2,
+                shard_capacity: 2,
+                overflow: OverflowPolicy::Block,
+                start_paused: false,
+            });
+            for request in requests {
+                service.submit(request);
+            }
+            drop(service);
+        }),
+        None
     );
 }
 
