@@ -10,38 +10,56 @@
 //! [`SpatialMember`] packages that as a [`StackMember`]: it owns the
 //! current rule set, hands the ingest chain a fresh [`SpatialDetector`]
 //! per round, and — when built with [`SpatialMember::remining`] — re-runs
-//! [`spatial::mine_records`] every `cadence` rounds over the **retained
-//! training window** the owning stack hands it
+//! Algorithm 1 every `cadence` rounds over the **retained training
+//! window** the owning stack hands it
 //! ([`fp_types::defense::RoundContext::records`]). The member owns no
 //! record buffer of its own: the stack's epoch-segmented store is the
 //! single owner of training history, so its retention policy (sliding
-//! window, sampled decay) bounds the member's scan spend and resident
-//! memory for free. The temporal anchors need no member of their own:
-//! they are stateful *within* a round but have nothing to retrain between
-//! rounds, so the arena wraps them in [`fp_types::defense::Frozen`].
+//! window, sampled decay) bounds the member's resident memory for free.
+//!
+//! A re-mine is incremental. The member keeps one [`PairCounts`] summary
+//! per labelled segment of the window ([`fp_types::SegmentId`]): it
+//! counts only segments it has not seen (a new epoch, or one a decay
+//! edit relabelled), drops the summaries of segments that left the
+//! window, and ranks the merge of what remains — the rules
+//! [`crate::spatial::mine_records`] would mine over the whole window,
+//! for the cost of one epoch plus the distinct configurations.
+//! Unlabelled segments are counted every time.
+//!
+//! The temporal anchors need no member of their own: they are stateful
+//! *within* a round but have nothing to retrain between rounds, so the
+//! arena wraps them in [`fp_types::defense::Frozen`].
 
 use crate::engine::{FpInconsistent, SpatialDetector};
 use crate::rulepack::{ChurnAttribution, PackSlot, RulePack};
 use crate::rules::RuleSet;
-use crate::spatial::{self, MineConfig};
-use fp_obs::{Histogram, MetricsRegistry};
+use crate::spatial::{MineConfig, PairCounts};
+use fp_obs::{Counter, Histogram, MetricsRegistry};
 use fp_types::defense::{RetrainSpend, RoundContext, StackMember};
 use fp_types::detect::{provenance, Detector};
+use fp_types::SegmentId;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Registry name of the re-mine window-scan timing histogram.
+/// Registry name of the re-mine rule-set production timing histogram
+/// (count, merge, rank and confirm).
 pub const REMINE_SCAN_NS: &str = "defense_remine_scan_ns";
+/// Registry name of the counter of records re-mines actually counted
+/// (segments not summarised before) — the work, where
+/// [`RetrainSpend::records_scanned`] reports the window covered.
+pub const REMINE_RECORDS_COUNTED: &str = "defense_remine_records_counted";
 /// Registry name of the re-mine pack-compile timing histogram.
 pub const REMINE_COMPILE_NS: &str = "defense_remine_compile_ns";
 /// Registry name of the pack hot-swap timing histogram.
 pub const PACK_SWAP_NS: &str = "defense_pack_swap_ns";
 
-/// Re-mine phase timings, resolved once at [`SpatialMember::set_metrics`].
+/// Re-mine instruments, resolved once at [`SpatialMember::set_metrics`].
 /// Three separate histograms because the phases have different budgets:
-/// scan grows with the retained window, compile with the mined rule
-/// count, and swap must stay O(1) (it is the barrier-free publish).
+/// scan grows with the new epoch and the distinct configurations,
+/// compile with the mined rule count, and swap must stay O(1) (it is the
+/// barrier-free publish).
 struct RemineMetrics {
+    records_counted: Arc<Counter>,
     scan_ns: Arc<Histogram>,
     compile_ns: Arc<Histogram>,
     swap_ns: Arc<Histogram>,
@@ -82,6 +100,8 @@ pub struct SpatialMember {
     /// Re-mine after every `cadence`-th round; `None` freezes the round-0
     /// rules forever (the pre-redesign behaviour).
     cadence: Option<u32>,
+    /// One summary per labelled segment of the last re-mined window.
+    summaries: Vec<(SegmentId, PairCounts)>,
     metrics: Option<RemineMetrics>,
 }
 
@@ -95,6 +115,7 @@ impl SpatialMember {
             generalize_location: engine.config().generalize_location,
             mine_config: MineConfig::default(),
             cadence: None,
+            summaries: Vec::new(),
             metrics: None,
         }
     }
@@ -116,16 +137,19 @@ impl SpatialMember {
             generalize_location: engine.config().generalize_location,
             mine_config,
             cadence: Some(cadence.max(1)),
+            summaries: Vec::new(),
             metrics: None,
         }
     }
 
-    /// Attach re-mine phase timing histograms ([`REMINE_SCAN_NS`],
-    /// [`REMINE_COMPILE_NS`], [`PACK_SWAP_NS`]) resolved from `registry`.
+    /// Attach the re-mine instruments — the phase timing histograms
+    /// ([`REMINE_SCAN_NS`], [`REMINE_COMPILE_NS`], [`PACK_SWAP_NS`]) and
+    /// the [`REMINE_RECORDS_COUNTED`] counter — resolved from `registry`.
     /// Call before boxing the member into a stack — the handles ride
     /// along and record on every re-mine that fires.
     pub fn set_metrics(&mut self, registry: &Arc<MetricsRegistry>) {
         self.metrics = Some(RemineMetrics {
+            records_counted: registry.counter(REMINE_RECORDS_COUNTED),
             scan_ns: registry.histogram(REMINE_SCAN_NS),
             compile_ns: registry.histogram(REMINE_COMPILE_NS),
             swap_ns: registry.histogram(PACK_SWAP_NS),
@@ -159,6 +183,39 @@ impl SpatialMember {
     /// in firing order; frozen members never append.
     pub fn churn_ledger(&self) -> Arc<ChurnLedger> {
         self.churn.clone()
+    }
+
+    /// Algorithm 1 over `window`, counting only what no resident summary
+    /// covers. Returns the rules and the records counted.
+    fn remine(&mut self, window: &fp_types::RecordView<'_>) -> (RuleSet, u64) {
+        let config = self.mine_config;
+        let mut resident = std::mem::take(&mut self.summaries);
+        let mut unlabelled = Vec::new();
+        let mut counted = 0u64;
+        for (id, records) in window.labelled_segments() {
+            let cached = id.and_then(|id| resident.iter().position(|(seen, _)| *seen == id));
+            match (id, cached) {
+                (_, Some(pos)) => self.summaries.push(resident.swap_remove(pos)),
+                (Some(id), None) => {
+                    counted += records.len() as u64;
+                    self.summaries
+                        .push((id, PairCounts::count(records, &config)));
+                }
+                (None, None) => {
+                    counted += records.len() as u64;
+                    unlabelled.push(PairCounts::count(records, &config));
+                }
+            }
+        }
+        // What is left in `resident` belongs to segments that left the
+        // window; it drops here.
+        let parts: Vec<&PairCounts> = self
+            .summaries
+            .iter()
+            .map(|(_, s)| s)
+            .chain(&unlabelled)
+            .collect();
+        (PairCounts::rules(&parts, &config), counted)
     }
 }
 
@@ -195,7 +252,8 @@ impl StackMember for SpatialMember {
         // Chained stamps: each phase's duration is the gap to the previous
         // stamp, so instrumenting the three phases costs three clock reads.
         let t0 = Instant::now();
-        self.rules = spatial::mine_records(epoch.records.iter(), &self.mine_config);
+        let (rules, counted) = self.remine(&epoch.records);
+        self.rules = rules;
         let t1 = Instant::now();
         // Compile off the hot path, then publish: in-flight chains finish
         // on the pack they forked with, the next round's detectors (and
@@ -206,6 +264,7 @@ impl StackMember for SpatialMember {
         let t2 = Instant::now();
         self.pack.swap(next);
         if let Some(m) = &self.metrics {
+            m.records_counted.add(counted);
             m.scan_ns.record((t1 - t0).as_nanos() as u64);
             m.compile_ns.record((t2 - t1).as_nanos() as u64);
             m.swap_ns.record(t2.elapsed().as_nanos() as u64);
@@ -455,6 +514,8 @@ mod tests {
             let h = snap.histogram(name).unwrap_or_else(|| panic!("{name}"));
             assert_eq!(h.count(), 2, "{name}: one sample per fired re-mine");
         }
+        // Unlabelled views are counted whole on every fire.
+        assert_eq!(snap.counter(REMINE_RECORDS_COUNTED), Some(10));
     }
 
     #[test]
@@ -470,6 +531,61 @@ mod tests {
             });
             assert_eq!(spend.pack_hash, Some(h0), "frozen pack never re-hashes");
         }
+    }
+
+    #[test]
+    fn remine_counts_only_segments_it_has_not_summarised() {
+        let registry = Arc::new(MetricsRegistry::new());
+        let mut member = SpatialMember::remining(&empty_engine(), MineConfig::default(), 1);
+        member.set_metrics(&registry);
+        let counted = || registry.snapshot().counter(REMINE_RECORDS_COUNTED).unwrap();
+        let two = vec![fake_iphone_record(); 2];
+        let one = vec![fake_iphone_record(); 1];
+        let (a, b, c, edited) = (
+            SegmentId::fresh(),
+            SegmentId::fresh(),
+            SegmentId::fresh(),
+            SegmentId::fresh(),
+        );
+        let mut remine = |round: u32, segments: Vec<(Option<SegmentId>, &[StoredRequest])>| {
+            let window = RecordView::labelled(segments);
+            let spend = member.end_of_round(&RoundContext {
+                round,
+                records: window.clone(),
+                now: SimTime::EPOCH,
+            });
+            assert_eq!(
+                spend.records_scanned,
+                window.len() as u64,
+                "the window covered"
+            );
+            let reference = crate::spatial::mine_records(window.iter(), &MineConfig::default());
+            assert_eq!(
+                spend.pack_hash,
+                Some(reference.content_hash()),
+                "round {round}"
+            );
+            spend.rules_active
+        };
+        // Support 2 < min_support 3: no rule yet.
+        assert_eq!(remine(0, vec![(Some(a), &two[..])]), 0);
+        assert_eq!(counted(), 2);
+        // The new epoch alone is counted; the merge reaches support 3.
+        assert!(remine(1, vec![(Some(a), &two[..]), (Some(b), &one[..])]) > 0);
+        assert_eq!(counted(), 3);
+        // `a` left the window: its summary goes with it (support 2 again).
+        assert_eq!(remine(2, vec![(Some(b), &one[..]), (Some(c), &one[..])]), 0);
+        assert_eq!(counted(), 4);
+        // A decay edit relabels `c`: recounted, `b` is not.
+        assert_eq!(
+            remine(3, vec![(Some(b), &one[..]), (Some(edited), &one[..])]),
+            0
+        );
+        assert_eq!(counted(), 5);
+        // Unlabelled segments are counted on every re-mine.
+        assert!(remine(4, vec![(Some(b), &one[..]), (None, &two[..])]) > 0);
+        assert!(remine(5, vec![(Some(b), &one[..]), (None, &two[..])]) > 0);
+        assert_eq!(counted(), 9);
     }
 
     #[test]

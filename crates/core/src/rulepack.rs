@@ -71,7 +71,7 @@ const BITSET_MAX_BITS: u64 = 4096;
 /// sees ids); this one is cheap integer compares. `Symbol` rank is the
 /// process-local interner index, which is fine: tables are built and
 /// probed within one process.
-fn value_rank(v: &AttrValue) -> (u8, u64, u64) {
+pub(crate) fn value_rank(v: &AttrValue) -> (u8, u64, u64) {
     match *v {
         AttrValue::Missing => (0, 0, 0),
         AttrValue::Bool(b) => (1, u64::from(b), 0),

@@ -9,6 +9,16 @@
 //! combination is possible. Confirmed-impossible pairs with enough support
 //! become filter rules.
 //!
+//! Mining is two steps over one intermediate, the [`PairCounts`] summary:
+//! for every mined attribute pair, the pool's `(left value, right value)
+//! → support` counts, kept as one flat run list sorted by value. Counting
+//! is the only step that reads records; ranking and confirmation read the
+//! summary alone. Summaries of disjoint record sets merge by a linear
+//! sorted-run merge into exactly the summary of their union, so a
+//! re-miner that keeps one summary per sealed store segment
+//! ([`crate::defense::SpatialMember`]) counts each segment once and ranks
+//! the merge. [`mine_records`] is the one-shot form: count, then rank.
+//!
 //! The paper's confirmation step is a human ("semi-automatic"); here it is
 //! the device-catalogue validity oracle plus the UTC-offset check for the
 //! Location category and the UA↔JA3 map for the cross-layer extension —
@@ -16,13 +26,18 @@
 
 use crate::attrs::AnalysisAttr;
 use crate::categories::CATEGORIES;
+use crate::rulepack::value_rank;
 use crate::rules::{RuleSet, SpatialRule};
 use fp_fingerprint::{Plausibility, ValidityOracle};
 use fp_honeysite::{RequestStore, StoredRequest};
 use fp_netsim::geo::offset_of_timezone;
 use fp_tls::expected_ja3_for_ua_browser;
 use fp_types::{AttrId, AttrValue};
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::cmp::Reverse;
+use std::fmt::Write;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Mining parameters.
 #[derive(Clone, Copy, Debug)]
@@ -129,47 +144,309 @@ fn region_offset(region: &AttrValue) -> Option<i32> {
         .map(|r| r.offset_minutes)
 }
 
-/// Mine one attribute pair over the undetected pool.
-fn mine_pair(
-    pool: &[&StoredRequest],
-    a: AnalysisAttr,
-    b: AnalysisAttr,
-    config: &MineConfig,
-) -> Vec<SpatialRule> {
-    // Count configurations: v_a → (v_b → support).
-    let mut configs: HashMap<AttrValue, HashMap<AttrValue, u64>> = HashMap::new();
-    for r in pool {
-        let va = a.value_of(r);
-        if va.is_missing() {
-            continue;
+/// The attribute pairs `config` mines, in rule-set order: the within-
+/// category pairs of every category in scope.
+fn mined_pairs(config: &MineConfig) -> Vec<(AnalysisAttr, AnalysisAttr)> {
+    CATEGORIES
+        .iter()
+        .filter(|category| category.in_paper || config.include_cross_layer)
+        .flat_map(|category| category.pairs())
+        .collect()
+}
+
+/// Run `work` for every index in `0..n` on scoped worker threads (each
+/// worker claims the next unclaimed index) and return the results in
+/// index order — identical to a sequential run.
+fn in_parallel<T: Send>(n: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let workers = std::thread::available_parallelism()
+        .map(|w| w.get())
+        .unwrap_or(1)
+        .min(n.max(1));
+    let next = AtomicUsize::new(0);
+    let (next, work) = (&next, &work);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return done;
+                        }
+                        done.push((i, work(i)));
+                    }
+                })
+            })
+            .collect();
+        let mut indexed: Vec<(usize, T)> = handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("mining worker panicked"))
+            .collect();
+        indexed.sort_by_key(|(i, _)| *i);
+        indexed.into_iter().map(|(_, t)| t).collect()
+    })
+}
+
+/// One configuration of an attribute pair and how often the pool showed it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Config {
+    left: AttrValue,
+    right: AttrValue,
+    support: u64,
+}
+
+/// The run-list order: left value, then right value, by
+/// [`value_rank`] (any total order consistent with equality works; this
+/// one is integer compares).
+fn config_order(c: &Config) -> ((u8, u64, u64), (u8, u64, u64)) {
+    (value_rank(&c.left), value_rank(&c.right))
+}
+
+/// Merge sorted run lists into one, summing the support of equal
+/// configurations. Pairwise and balanced: `O(n log k)` for `k` lists.
+fn merge_runs<'a>(lists: &[&'a [Config]]) -> Cow<'a, [Config]> {
+    match lists {
+        [] => Cow::Borrowed(&[]),
+        [one] => Cow::Borrowed(one),
+        _ => {
+            let (left, right) = lists.split_at(lists.len() / 2);
+            let (x, y) = (merge_runs(left), merge_runs(right));
+            let mut merged = Vec::with_capacity(x.len() + y.len());
+            let (mut i, mut j) = (0, 0);
+            while i < x.len() && j < y.len() {
+                match config_order(&x[i]).cmp(&config_order(&y[j])) {
+                    std::cmp::Ordering::Less => {
+                        merged.push(x[i]);
+                        i += 1;
+                    }
+                    std::cmp::Ordering::Greater => {
+                        merged.push(y[j]);
+                        j += 1;
+                    }
+                    std::cmp::Ordering::Equal => {
+                        merged.push(Config {
+                            support: x[i].support + y[j].support,
+                            ..x[i]
+                        });
+                        i += 1;
+                        j += 1;
+                    }
+                }
+            }
+            merged.extend_from_slice(&x[i..]);
+            merged.extend_from_slice(&y[j..]);
+            Cow::Owned(merged)
         }
-        let vb = b.value_of(r);
-        if vb.is_missing() {
-            continue;
+    }
+}
+
+/// A sorted run list split by left value: one slice per distinct left
+/// value, its length the value's partner count.
+fn left_groups(runs: &[Config]) -> impl Iterator<Item = &[Config]> {
+    runs.chunk_by(|x, y| x.left == y.left)
+}
+
+/// One attribute over a pool: its distinct values in [`value_rank`]
+/// order, and each pool record's value as an index into them.
+struct Column {
+    values: Vec<AttrValue>,
+    ids: Vec<u32>,
+}
+
+impl Column {
+    /// The id of a missing value.
+    const MISSING: u32 = u32::MAX;
+
+    fn gather(pool: &[&StoredRequest], attr: AnalysisAttr) -> Column {
+        assert!(
+            pool.len() < Column::MISSING as usize,
+            "pool too large for u32 value ids"
+        );
+        let mut present: Vec<(AttrValue, u32)> = pool
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (attr.value_of(r), i as u32))
+            .filter(|(value, _)| !value.is_missing())
+            .collect();
+        present.sort_unstable_by_key(|(value, _)| value_rank(value));
+        let mut column = Column {
+            values: Vec::new(),
+            ids: vec![Column::MISSING; pool.len()],
+        };
+        for (value, i) in present {
+            if column.values.last() != Some(&value) {
+                column.values.push(value);
+            }
+            column.ids[i as usize] = (column.values.len() - 1) as u32;
         }
-        *configs.entry(va).or_default().entry(vb).or_default() += 1;
+        column
+    }
+}
+
+/// Algorithm 1's counting step as a value: for each mined attribute pair
+/// (in [`MineConfig`] pair order), the undetected pool's configurations
+/// and their support, as one run list sorted by value — flat, so a
+/// resident summary costs one `Vec` per pair.
+///
+/// A summary is bound to the [`MineConfig`] that counted it (the pair
+/// list and the pool filter); [`PairCounts::merge`] and
+/// [`PairCounts::rules`] take summaries of one config only.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct PairCounts {
+    pairs: Vec<Vec<Config>>,
+}
+
+impl PairCounts {
+    /// Count the pool among `records` (every record when
+    /// [`MineConfig::undetected_pool_only`] is off). A record counts
+    /// toward a pair only when both of its values are present. Pairs are
+    /// counted in parallel on scoped threads.
+    pub fn count<'a>(
+        records: impl IntoIterator<Item = &'a StoredRequest>,
+        config: &MineConfig,
+    ) -> PairCounts {
+        let dd = fp_types::detect::provenance::datadome_sym();
+        let botd = fp_types::detect::provenance::botd_sym();
+        let pool: Vec<&StoredRequest> = records
+            .into_iter()
+            .filter(|r| {
+                !config.undetected_pool_only || !r.verdicts.bot_sym(dd) || !r.verdicts.bot_sym(botd)
+            })
+            .collect();
+        let pairs = mined_pairs(config);
+        let mut attrs: Vec<AnalysisAttr> = pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
+        attrs.sort_unstable();
+        attrs.dedup();
+        let columns = in_parallel(attrs.len(), |i| Column::gather(&pool, attrs[i]));
+        let column = |attr| &columns[attrs.binary_search(&attr).expect("a mined attribute")];
+        let pairs = in_parallel(pairs.len(), |i| {
+            let (a, b) = (column(pairs[i].0), column(pairs[i].1));
+            // Value ids follow value order, so sorted keys are sorted runs.
+            let mut keys: Vec<u64> = a
+                .ids
+                .iter()
+                .zip(&b.ids)
+                .filter(|&(&x, &y)| x != Column::MISSING && y != Column::MISSING)
+                .map(|(&x, &y)| (u64::from(x) << 32) | u64::from(y))
+                .collect();
+            keys.sort_unstable();
+            let mut runs: Vec<Config> = keys
+                .chunk_by(|x, y| x == y)
+                .map(|run| Config {
+                    left: a.values[(run[0] >> 32) as usize],
+                    right: b.values[(run[0] & 0xFFFF_FFFF) as usize],
+                    support: run.len() as u64,
+                })
+                .collect();
+            runs.shrink_to_fit();
+            runs
+        });
+        PairCounts { pairs }
     }
 
-    // Rank left-hand values by configuration explosion, descending
-    // (the §7.1 prioritisation), and spend the review budget top down.
-    let mut ranked: Vec<(&AttrValue, &HashMap<AttrValue, u64>)> = configs.iter().collect();
-    ranked.sort_by(|(va1, m1), (va2, m2)| {
-        m2.len()
-            .cmp(&m1.len())
-            .then_with(|| format!("{va1:?}").cmp(&format!("{va2:?}")))
-    });
-    let mut rules = Vec::new();
-    for (va, partners) in ranked.into_iter().take(config.value_budget) {
-        for (vb, support) in partners {
-            if *support < config.min_support {
-                continue;
-            }
-            if confirm_impossible(a, va, b, vb) {
-                rules.push(SpatialRule::new(a, *va, b, *vb));
-            }
+    /// The summary of the union of the summarised record sets: exactly
+    /// what [`PairCounts::count`] returns over their concatenation.
+    pub fn merge(parts: &[&PairCounts]) -> PairCounts {
+        let n = parts.first().map_or(0, |p| p.pairs.len());
+        PairCounts {
+            pairs: (0..n)
+                .map(|i| merge_runs(&pair_lists(parts, i)).into_owned())
+                .collect(),
         }
     }
-    rules
+
+    /// Number of attribute pairs summarised.
+    pub fn pair_count(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// Heap bytes the summary keeps resident.
+    pub fn heap_bytes(&self) -> usize {
+        self.pairs.capacity() * std::mem::size_of::<Vec<Config>>()
+            + self
+                .pairs
+                .iter()
+                .map(|p| p.capacity() * std::mem::size_of::<Config>())
+                .sum::<usize>()
+    }
+
+    /// Pair `pair`'s left values with their distinct-partner counts (the
+    /// configuration explosion Algorithm 1 ranks by), in run order.
+    pub fn partner_counts(&self, pair: usize) -> Vec<(AttrValue, usize)> {
+        left_groups(&self.pairs[pair])
+            .map(|group| (group[0].left, group.len()))
+            .collect()
+    }
+
+    /// Algorithm 1's rank and confirm steps over the merge of `parts`:
+    /// per pair, the left values in [`review_order`] up to the value
+    /// budget, and each of their configurations with enough support that
+    /// the confirmation step judges impossible becomes a rule. Pairs are
+    /// merged and ranked in parallel; rules land in pair order.
+    pub fn rules(parts: &[&PairCounts], config: &MineConfig) -> RuleSet {
+        let pairs = mined_pairs(config);
+        assert!(
+            parts.iter().all(|p| p.pairs.len() == pairs.len()),
+            "summaries counted under another MineConfig"
+        );
+        let per_pair_rules = in_parallel(pairs.len(), |i| {
+            let (a, b) = pairs[i];
+            let runs = merge_runs(&pair_lists(parts, i));
+            let groups: Vec<&[Config]> = left_groups(&runs).collect();
+            let lefts: Vec<(AttrValue, usize)> = groups
+                .iter()
+                .map(|group| (group[0].left, group.len()))
+                .collect();
+            let mut rules = Vec::new();
+            for g in review_order(&lefts, config.value_budget) {
+                for c in groups[g] {
+                    if c.support >= config.min_support
+                        && confirm_impossible(a, &c.left, b, &c.right)
+                    {
+                        rules.push(SpatialRule::new(a, c.left, b, c.right));
+                    }
+                }
+            }
+            rules
+        });
+        let mut rules = RuleSet::new();
+        for rule in per_pair_rules.into_iter().flatten() {
+            rules.add(rule);
+        }
+        rules
+    }
+}
+
+/// Pair `i`'s run list from each summary.
+fn pair_lists<'a>(parts: &[&'a PairCounts], i: usize) -> Vec<&'a [Config]> {
+    parts.iter().map(|p| &p.pairs[i][..]).collect()
+}
+
+/// The §7.1 review order over one pair's left values, cut at `budget`:
+/// the indices into `lefts` of the `budget` values first by partner count
+/// (descending), then by their `{:?}` rendering (ascending — string
+/// order, so `Int(-5)` < `Int(10)` < `Int(2)`). Every value is rendered
+/// once, into one shared buffer; the order is total because the
+/// rendering is injective.
+pub fn review_order(lefts: &[(AttrValue, usize)], budget: usize) -> Vec<usize> {
+    let mut text = String::new();
+    let spans: Vec<Range<usize>> = lefts
+        .iter()
+        .map(|(value, _)| {
+            let start = text.len();
+            write!(text, "{value:?}").expect("formatting into a String cannot fail");
+            start..text.len()
+        })
+        .collect();
+    let key = |i: &usize| (Reverse(lefts[*i].1), &text[spans[*i].clone()]);
+    let mut order: Vec<usize> = (0..lefts.len()).collect();
+    if budget < order.len() {
+        order.select_nth_unstable_by(budget, |i, j| key(i).cmp(&key(j)));
+        order.truncate(budget);
+    }
+    order.sort_unstable_by(|i, j| key(i).cmp(&key(j)));
+    order
 }
 
 /// Run Algorithm 1 over a recorded store (see [`mine_records`]).
@@ -177,66 +454,15 @@ pub fn mine(store: &RequestStore, config: &MineConfig) -> RuleSet {
     mine_records(store.iter(), config)
 }
 
-/// Run Algorithm 1 over any arrival-ordered record view — the re-entrant
-/// form the re-mining defense member feeds with its incremental window
-/// (seed traffic plus each completed arena round). Attribute pairs are
-/// independent, so they are mined in parallel on `std::thread::scope` threads
-/// (round-robin over the category pair list) and merged back in pair order
-/// — the rule set is identical to a sequential run.
+/// Run Algorithm 1 over any arrival-ordered record view: count the pool
+/// into one [`PairCounts`], then rank and confirm. The re-mining defense
+/// member runs the same two steps, counting per sealed segment and
+/// ranking the merge — the rule set is identical.
 pub fn mine_records<'a>(
     records: impl IntoIterator<Item = &'a StoredRequest>,
     config: &MineConfig,
 ) -> RuleSet {
-    let dd = fp_types::detect::provenance::datadome_sym();
-    let botd = fp_types::detect::provenance::botd_sym();
-    let pool: Vec<&StoredRequest> = records
-        .into_iter()
-        .filter(|r| {
-            !config.undetected_pool_only || !r.verdicts.bot_sym(dd) || !r.verdicts.bot_sym(botd)
-        })
-        .collect();
-
-    let pairs: Vec<(AnalysisAttr, AnalysisAttr)> = CATEGORIES
-        .iter()
-        .filter(|category| category.in_paper || config.include_cross_layer)
-        .flat_map(|category| category.pairs())
-        .collect();
-
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(pairs.len().max(1));
-
-    let pool = &pool;
-    let pairs = &pairs;
-    let per_pair: Vec<Vec<SpatialRule>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    pairs
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| i % workers == w)
-                        .map(|(i, (a, b))| (i, mine_pair(pool, *a, *b, config)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        let mut indexed: Vec<(usize, Vec<SpatialRule>)> = handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("mining worker panicked"))
-            .collect();
-        indexed.sort_by_key(|(i, _)| *i);
-        indexed.into_iter().map(|(_, rules)| rules).collect()
-    });
-
-    let mut rules = RuleSet::new();
-    for pair_rules in per_pair {
-        for rule in pair_rules {
-            rules.add(rule);
-        }
-    }
-    rules
+    PairCounts::rules(&[&PairCounts::count(records, config)], config)
 }
 
 #[cfg(test)]
@@ -451,6 +677,55 @@ mod tests {
             },
         );
         assert!(rules.is_empty());
+    }
+
+    #[test]
+    fn review_order_is_string_order_after_partner_count() {
+        let lefts = [
+            (AttrValue::Int(2), 1),
+            (AttrValue::Int(10), 1),
+            (AttrValue::Int(-5), 1),
+            (AttrValue::Int(7), 3),
+        ];
+        // `Int(7)` has the most partners; then `{:?}` order, not numeric.
+        assert_eq!(review_order(&lefts, 4), [3, 2, 1, 0]);
+        assert_eq!(review_order(&lefts, 2), [3, 2], "the budget cuts a tie");
+        assert!(review_order(&lefts, 0).is_empty());
+    }
+
+    #[test]
+    fn per_segment_summaries_merge_to_the_window_count() {
+        let rows = (0..4)
+            .map(|_| (fake_iphone(), "France/Hauts-de-France", -60, true))
+            .chain((0..3).map(|_| (real_iphone(), "France/Hauts-de-France", -60, true)))
+            .chain((0..2).map(|_| (fake_iphone(), "France/Hauts-de-France", -60, false)))
+            .collect();
+        let store = store_with(rows);
+        let records: Vec<StoredRequest> = store.iter().cloned().collect();
+        let config = MineConfig::default();
+        let halves = [&records[..3], &records[3..]].map(|part| PairCounts::count(part, &config));
+        let whole = PairCounts::count(&records, &config);
+        assert_eq!(PairCounts::merge(&[&halves[0], &halves[1]]), whole);
+        assert_eq!(
+            PairCounts::rules(&[&halves[0], &halves[1]], &config).content_hash(),
+            mine(&store, &config).content_hash()
+        );
+        // Detected records are outside the pool: 7 counted, 2 resolutions
+        // partner the one `iPhone` left value.
+        let device_resolution = mined_pairs(&config)
+            .iter()
+            .position(|p| {
+                *p == (
+                    AnalysisAttr::Fp(AttrId::UaDevice),
+                    AnalysisAttr::Fp(AttrId::ScreenResolution),
+                )
+            })
+            .unwrap();
+        assert_eq!(
+            whole.partner_counts(device_resolution),
+            [(AttrValue::text("iPhone"), 2)]
+        );
+        assert!(whole.heap_bytes() > 0);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 pub use fp_types::stored::StoredRequest;
 
 use fp_obs::{Counter, Gauge, MetricsRegistry};
-use fp_types::retention::{Epoch, RecordView, RetentionPolicy, SegmentStats};
+use fp_types::retention::{Epoch, RecordView, RetentionPolicy, SegmentId, SegmentStats};
 use fp_types::{shard_for, CookieId, RequestId};
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
@@ -60,6 +60,9 @@ impl StoreMetrics {
 /// queries over them. Positions in the index maps are segment-local.
 struct Segment {
     epoch: Epoch,
+    /// The contents' identity: `None` while the segment is active (it
+    /// still grows), drawn at seal and redrawn at every decay edit.
+    id: Option<SegmentId>,
     records: Vec<StoredRequest>,
     by_cookie: Vec<HashMap<CookieId, Vec<usize>>>,
     by_ip: Vec<HashMap<u64, Vec<usize>>>,
@@ -69,6 +72,7 @@ impl Segment {
     fn new(epoch: Epoch, shards: usize) -> Segment {
         Segment {
             epoch,
+            id: None,
             records: Vec::new(),
             by_cookie: (0..shards).map(|_| HashMap::new()).collect(),
             by_ip: (0..shards).map(|_| HashMap::new()).collect(),
@@ -92,8 +96,10 @@ impl Segment {
 
     /// Retain only the records whose arrival index is marked, then
     /// rebuild this segment's (local) indexes. Used by within-segment
-    /// decay — whole-segment eviction never rebuilds anything.
+    /// decay — whole-segment eviction never rebuilds anything. The
+    /// edited segment gets a fresh identity.
     fn retain_marked(&mut self, keep: &[bool], shards: usize, indexing: bool) {
+        self.id = Some(SegmentId::fresh());
         let mut idx = 0;
         self.records.retain(|_| {
             let kept = keep[idx];
@@ -221,6 +227,7 @@ impl RequestStore {
             sealed: Vec::new(),
             active: Segment {
                 epoch: Epoch(0),
+                id: None,
                 records: requests,
                 by_cookie,
                 by_ip,
@@ -306,9 +313,10 @@ impl RequestStore {
     /// ages the history like any other) but stores no segment.
     pub fn seal_epoch(&mut self) -> SegmentStats {
         let next = self.active.epoch.next();
-        let finished = std::mem::replace(&mut self.active, Segment::new(next, self.shards));
+        let mut finished = std::mem::replace(&mut self.active, Segment::new(next, self.shards));
         let sealed_epoch = finished.epoch;
         if !finished.records.is_empty() {
+            finished.id = Some(SegmentId::fresh());
             self.sealed.push(finished);
         }
         let (records_evicted, segments_evicted) = if self.retained_through == Some(sealed_epoch) {
@@ -456,13 +464,14 @@ impl RequestStore {
     /// the defender lifecycle hands to retraining stack members
     /// ([`fp_types::defense::RoundContext::records`]) and every
     /// record-walking pass consumes. One segment slice per resident
-    /// epoch; a never-sealed store presents the single contiguous slice
-    /// it always did.
+    /// epoch, each sealed one labelled with its [`SegmentId`]; a
+    /// never-sealed store presents the single contiguous (unlabelled)
+    /// slice it always did.
     pub fn records(&self) -> RecordView<'_> {
-        RecordView::new(
+        RecordView::labelled(
             self.segments()
                 .filter(|s| !s.records.is_empty())
-                .map(|s| &s.records[..])
+                .map(|s| (s.id, &s.records[..]))
                 .collect(),
         )
     }
@@ -920,5 +929,48 @@ mod tests {
         assert_eq!(store.len(), 20, "swap alone evicts nothing");
         seal_round(&mut store, 10, 2);
         assert_eq!(store.len(), 10, "the next seal enforces the new policy");
+    }
+
+    fn segment_ids(store: &RequestStore) -> Vec<Option<SegmentId>> {
+        store
+            .records()
+            .labelled_segments()
+            .map(|(id, _)| id)
+            .collect()
+    }
+
+    #[test]
+    fn sealed_segments_keep_their_id_until_edited_or_evicted() {
+        let mut store = RequestStore::with_retention(RetentionPolicy::SlidingWindow { epochs: 2 });
+        store.push(record(1, 1));
+        assert_eq!(
+            segment_ids(&store),
+            [None],
+            "the active segment still grows"
+        );
+        store.seal_epoch();
+        let first = segment_ids(&store);
+        assert!(first[0].is_some(), "a seal labels the segment");
+        seal_round(&mut store, 4, 1);
+        let second = segment_ids(&store);
+        assert_eq!(second[0], first[0], "an untouched segment keeps its id");
+        assert_ne!(second[1], second[0]);
+        seal_round(&mut store, 4, 2);
+        let third = segment_ids(&store);
+        assert_eq!(third.len(), 2, "the window evicted epoch 0");
+        assert!(!third.contains(&first[0]), "eviction retires the id");
+        assert_eq!(third[0], second[1]);
+
+        // A decay edit redraws the edited segment's id.
+        let mut decayed = RequestStore::with_retention(RetentionPolicy::SampledDecay {
+            keep_rate: 0.5,
+            floor: 0,
+        });
+        seal_round(&mut decayed, 64, 0);
+        let before = segment_ids(&decayed);
+        seal_round(&mut decayed, 64, 1);
+        let after = segment_ids(&decayed);
+        assert_ne!(after[0], before[0], "decay edited epoch 0");
+        assert!(after[1].is_some() && after[1] != after[0]);
     }
 }

@@ -496,8 +496,12 @@ pub struct RoundContext<'a> {
 pub struct RetrainSpend {
     /// Members that actually retrained this round.
     pub retrained_members: u64,
-    /// Training records read during retraining (the dominant cost of a
-    /// re-mine: one full pass over the member's window per attribute pair).
+    /// Training records the retraining covered: the whole window a
+    /// re-mine mined, whether it counted those records this round or
+    /// reused per-segment summaries of them. It is part of the RUNFP
+    /// behaviour fold, so it keeps this meaning; the records a re-mine
+    /// actually counted (the work) are the registry counter
+    /// `defense_remine_records_counted`.
     pub records_scanned: u64,
     /// Model terms live after the round (rule count for rule-based
     /// members; 0 for members without an explicit model).

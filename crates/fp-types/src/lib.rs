@@ -98,7 +98,7 @@ pub use label::{Cohort, PrivacyTech, ServiceId, TrafficSource};
 pub use mitigation::{ActionLedger, MitigationAction, RoundOutcome};
 pub use mix::{mix2, mix3, shard_for, splitmix64, unit_f64, Splittable};
 pub use request::{BehaviorTrace, CookieId, PointerStats, Request, RequestId};
-pub use retention::{Epoch, RecordView, RetentionPolicy, SegmentStats};
+pub use retention::{Epoch, RecordView, RetentionPolicy, SegmentId, SegmentStats};
 pub use runfp::{ComponentHash, ComponentHasher, RunComponents, RunFingerprint};
 pub use scale::Scale;
 pub use serve::{OverflowPolicy, ServeConfig};

@@ -33,10 +33,15 @@
 //!   one flat slice (re-mining, evaluation, round bookkeeping) walks a
 //!   view instead, so a store whose middle epochs were evicted still
 //!   presents one arrival-ordered stream.
+//! * [`SegmentId`] — the identity of one sealed segment's exact contents,
+//!   carried by store-built views next to each sealed slice. A consumer
+//!   that derives something per segment (the re-miner's pair-count
+//!   summaries) keys it on the id: same id, same records.
 
 use crate::mix::{mix2, unit_f64};
 use crate::request::RequestId;
 use crate::stored::StoredRequest;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Salt for the deterministic per-record survival key used by
 /// [`RetentionPolicy::SampledDecay`].
@@ -184,21 +189,53 @@ impl SegmentStats {
     }
 }
 
+/// The identity of one sealed store segment's exact contents: drawn from
+/// a process-wide counter when the segment is sealed, and drawn afresh
+/// whenever retention edits the segment in place
+/// ([`RetentionPolicy::SampledDecay`]). Two views showing the same id
+/// show the same records, so anything derived from a segment can be
+/// cached under its id; whole-segment eviction retires the id for good.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct SegmentId(u64);
+
+impl SegmentId {
+    /// A process-unique id, never handed out before.
+    pub fn fresh() -> SegmentId {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        SegmentId(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
 /// An arrival-ordered view over the resident records of an
 /// epoch-segmented store: an ordered list of segment slices. The
 /// epoch-aware replacement for the old contiguous `&[StoredRequest]`
 /// slice — iteration crosses segment boundaries transparently, and a
 /// store whose older epochs were evicted still presents one ordered
 /// stream of what *remains*.
+///
+/// Each segment may carry a [`SegmentId`]: a store labels its sealed
+/// segments ([`RecordView::labelled`]); slices handed in by
+/// [`RecordView::new`] / [`RecordView::from_slice`], and a store's
+/// still-growing active segment, carry none.
 #[derive(Clone, Debug, Default)]
 pub struct RecordView<'a> {
     segments: Vec<&'a [StoredRequest]>,
+    /// Parallel to `segments`.
+    ids: Vec<Option<SegmentId>>,
 }
 
 impl<'a> RecordView<'a> {
-    /// A view over the given segment slices, in arrival order.
+    /// A view over the given (unlabelled) segment slices, in arrival order.
     pub fn new(segments: Vec<&'a [StoredRequest]>) -> RecordView<'a> {
-        RecordView { segments }
+        let ids = vec![None; segments.len()];
+        RecordView { segments, ids }
+    }
+
+    /// A view over segment slices, in arrival order, each with its
+    /// identity (`None` for a segment whose contents may still change).
+    pub fn labelled(segments: Vec<(Option<SegmentId>, &'a [StoredRequest])>) -> RecordView<'a> {
+        let (ids, segments) = segments.into_iter().unzip();
+        RecordView { segments, ids }
     }
 
     /// An empty view.
@@ -209,9 +246,7 @@ impl<'a> RecordView<'a> {
     /// A single-segment view over one contiguous slice (the pre-refactor
     /// shape; what a never-sealed store presents).
     pub fn from_slice(records: &'a [StoredRequest]) -> RecordView<'a> {
-        RecordView {
-            segments: vec![records],
-        }
+        RecordView::new(vec![records])
     }
 
     /// Total records visible through the view.
@@ -232,6 +267,13 @@ impl<'a> RecordView<'a> {
     /// The backing segment slices, in arrival order.
     pub fn segments(&self) -> &[&'a [StoredRequest]] {
         &self.segments
+    }
+
+    /// The backing segment slices with their identities, in arrival order.
+    pub fn labelled_segments(
+        &self,
+    ) -> impl Iterator<Item = (Option<SegmentId>, &'a [StoredRequest])> + '_ {
+        self.ids.iter().copied().zip(self.segments.iter().copied())
     }
 
     /// All records in arrival order, crossing segment boundaries.
@@ -368,5 +410,23 @@ mod tests {
         let single = RecordView::from_slice(&a);
         assert_eq!(single.len(), 3);
         assert_eq!(single.segment_count(), 1);
+        assert!(single.labelled_segments().all(|(id, _)| id.is_none()));
+    }
+
+    #[test]
+    fn labelled_views_carry_fresh_segment_ids() {
+        let a: Vec<StoredRequest> = (0..3).map(record).collect();
+        let b: Vec<StoredRequest> = (3..5).map(record).collect();
+        let (x, y) = (SegmentId::fresh(), SegmentId::fresh());
+        assert_ne!(x, y, "every draw is new");
+        let view = RecordView::labelled(vec![(Some(x), &a[..]), (None, &b[..])]);
+        assert_eq!(view.len(), 5);
+        let labels: Vec<(Option<SegmentId>, usize)> = view
+            .labelled_segments()
+            .map(|(id, s)| (id, s.len()))
+            .collect();
+        assert_eq!(labels, [(Some(x), 3), (None, 2)]);
+        let ids: Vec<u64> = view.iter().map(|r| r.id).collect();
+        assert_eq!(ids, [0, 1, 2, 3, 4]);
     }
 }

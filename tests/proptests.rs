@@ -1,7 +1,8 @@
 //! Property-based tests over the core data structures and invariants.
 
 use fp_inconsistent_core::attrs::AnalysisAttr;
-use fp_inconsistent_core::{RulePack, RuleSet, SpatialRule};
+use fp_inconsistent_core::spatial::{mine_records, review_order, PairCounts};
+use fp_inconsistent_core::{MineConfig, RulePack, RuleSet, SpatialRule};
 use fp_tls::{ClientHello, Extension};
 use fp_types::{sym, AttrId, AttrValue, Fingerprint, StoredRequest};
 use proptest::prelude::*;
@@ -299,6 +300,115 @@ proptest! {
         if count > 0 {
             prop_assert!(scaled >= 1);
         }
+    }
+}
+
+/// A miner-pool record over a deliberately small value domain, so
+/// configurations repeat, partner counts tie and some values are missing;
+/// either anti-bot verdict may be set (the pool filter's input).
+fn arb_pool_record() -> impl Strategy<Value = StoredRequest> {
+    (
+        (0usize..5, 0usize..6, 0i64..3),
+        (0usize..4, 0usize..3),
+        (any::<bool>(), any::<bool>()),
+    )
+        .prop_map(|((device, res, touch), (tz, region), (dd, botd))| {
+            let mut r = blank_request();
+            let fp = &mut r.fingerprint;
+            if let Some(name) = ["iPhone", "Mac", "Windows", "Android"].get(device) {
+                fp.set(AttrId::UaDevice, *name);
+            }
+            if let Some(wh) = [
+                (390u16, 844u16),
+                (1920, 1080),
+                (1440, 900),
+                (800, 600),
+                (375, 812),
+            ]
+            .get(res)
+            {
+                fp.set(AttrId::ScreenResolution, *wh);
+            }
+            fp.set(AttrId::MaxTouchPoints, touch * 5);
+            let (zone, offset) = [
+                ("America/Los_Angeles", 480i64),
+                ("Europe/Paris", -60),
+                ("Asia/Tokyo", -540),
+                ("Europe/London", 0),
+            ][tz];
+            fp.set(AttrId::Timezone, zone);
+            fp.set(AttrId::TimezoneOffset, offset);
+            let (label, minutes) = [
+                ("United States of America/California", 480),
+                ("France/Hauts-de-France", -60),
+                ("Japan/Tokyo", -540),
+            ][region];
+            r.ip_region = sym(label);
+            r.ip_offset_minutes = minutes;
+            r.verdicts = fp_types::VerdictSet::from_services(dd, botd);
+            r
+        })
+}
+
+proptest! {
+    // -----------------------------------------------------------------
+    // Algorithm 1's counting kernel: pair-count summaries merge exactly,
+    // and the review order is the `format!`-comparator order it replaced.
+
+    #[test]
+    fn pair_count_summaries_merge_in_any_grouping(
+        records in proptest::collection::vec(arb_pool_record(), 0..48),
+        cuts in (0usize..49, 0usize..49),
+    ) {
+        let config = MineConfig {
+            min_support: 1,
+            ..MineConfig::default()
+        };
+        let lo = cuts.0.min(cuts.1).min(records.len());
+        let hi = cuts.0.max(cuts.1).min(records.len());
+        let [x, y, z] = [&records[..lo], &records[lo..hi], &records[hi..]]
+            .map(|part| PairCounts::count(part, &config));
+        let whole = PairCounts::count(&records, &config);
+        let groupings = [
+            PairCounts::merge(&[&x, &y, &z]),
+            PairCounts::merge(&[&PairCounts::merge(&[&x, &y]), &z]),
+            PairCounts::merge(&[&z, &PairCounts::merge(&[&y, &x])]),
+        ];
+        for merged in &groupings {
+            prop_assert_eq!(merged, &whole);
+            for pair in 0..whole.pair_count() {
+                prop_assert_eq!(merged.partner_counts(pair), whole.partner_counts(pair));
+            }
+        }
+        // Ranking the unmerged parts mines exactly the one-pass rule set.
+        let parts = PairCounts::rules(&[&x, &y, &z], &config);
+        let one_pass = mine_records(&records, &config);
+        prop_assert_eq!(parts.content_hash(), one_pass.content_hash());
+        prop_assert_eq!(parts.to_filter_list(), one_pass.to_filter_list());
+    }
+
+    #[test]
+    fn review_order_matches_the_format_comparator(
+        candidates in proptest::collection::vec((arb_attr_value(), 1usize..4), 0..40),
+        budget in 0usize..44,
+    ) {
+        // A pair's left values are distinct; few partner counts → ties,
+        // including at the budget cut.
+        let mut lefts: Vec<(AttrValue, usize)> = Vec::new();
+        for (value, partners) in candidates {
+            if !lefts.iter().any(|(seen, _)| *seen == value) {
+                lefts.push((value, partners));
+            }
+        }
+        let mut old: Vec<usize> = (0..lefts.len()).collect();
+        old.sort_by(|&i, &j| {
+            lefts[j]
+                .1
+                .cmp(&lefts[i].1)
+                .then_with(|| format!("{:?}", lefts[i].0).cmp(&format!("{:?}", lefts[j].0)))
+        });
+        old.truncate(budget);
+        prop_assert_eq!(review_order(&lefts, budget), old);
     }
 }
 
