@@ -513,8 +513,9 @@ impl Arena {
         let (stream, mutation) = self.round_stream(round);
 
         // Admission + detection under the stack's current chain: the
-        // TTL-blocklist check per request, then the sharded scoped-thread
-        // pipeline over what it admitted.
+        // TTL-blocklist check per request, then sharded ingest
+        // (`ingest_stream`, the serving layer's batch driver) over what it
+        // admitted.
         let mut outcomes: HashMap<TrafficSource, RoundOutcome> = HashMap::new();
         let mut denied = [0u64; Cohort::ALL.len()];
         let mut admitted = Vec::with_capacity(stream.len());

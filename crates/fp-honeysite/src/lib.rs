@@ -6,28 +6,27 @@
 //!   with can know it). The site issues the large-random-number first-party
 //!   cookie on first contact, runs its detector chain in real time, and
 //!   forwards everything to the store.
-//! * [`pipeline`] — sharded streaming ingest: the same detector chain on N
-//!   worker shards (partitioned by each detector's
-//!   [`fp_types::StateScope`] anchor), verdict-for-verdict
-//!   identical to the sequential path and merged in arrival order. It,
-//!   the sequential loop and the serving layer all run the chain through
-//!   one route kernel (the anchor split, the per-shard worker with its
-//!   sampled detector timing, and the chain-order verdict commit).
-//! * [`serve`] — the continuously running serving layer
-//!   ([`HoneySite::serve`] → [`FpService`]): admission and an optional
-//!   gate (TTL blocklist / policy) on the caller's thread, then bounded
-//!   queues into an enricher and per-shard detector workers with
-//!   explicit backpressure (block or shed on a full ingress queue) and
-//!   an in-order collector — flag-identical to both batch paths.
+//! * [`serve`] — the continuously running serving layer, the one sharded
+//!   engine ([`HoneySite::serve`] → [`FpService`]): admission and an
+//!   optional gate (TTL blocklist / policy) on the caller's thread, then
+//!   bounded queues, drained in micro-batches, into an enricher and
+//!   per-shard detector workers (partitioned by each detector's
+//!   [`fp_types::StateScope`] anchor) with explicit backpressure (block
+//!   or shed on a full ingress queue) and an in-order collector —
+//!   verdict-for-verdict identical to the sequential loop at any shard
+//!   count. [`HoneySite::ingest_stream`] is its batch driver. Both
+//!   engines run the chain through one route kernel (the anchor split,
+//!   the per-shard worker with its sampled detector timing, and the
+//!   chain-order verdict commit).
 //! * [`store::RequestStore`] — the recorded dataset, organised as epoch
 //!   segments with pluggable [`fp_types::RetentionPolicy`] (default
 //!   `KeepAll`, the pre-refactor behaviour). Raw IPs never reach
 //!   storage: the pipeline derives what analysis needs (ASN class and
 //!   blocklist facts, geolocation, UTC offset) and keeps a salted hash as
 //!   the address identity (the paper's ethics appendix). The
-//!   cookie/address indexes are sharded (per segment) so the streaming
-//!   pipeline builds them in parallel — and eviction drops them wholesale
-//!   with their segment, tombstone-free.
+//!   cookie/address indexes live per segment, sharded by the ingest
+//!   shard partition, and eviction drops them wholesale with their
+//!   segment, tombstone-free.
 //! * [`stats`] — campaign statistics: per-service evasion rates (Table 1)
 //!   and the per-day series of Figure 9.
 //! * [`defense`] — the [`DefenseStack`]: the lifecycle-aware defender API
@@ -41,7 +40,6 @@
 #![deny(missing_docs)]
 
 pub mod defense;
-pub mod pipeline;
 mod route;
 pub mod serve;
 pub mod site;

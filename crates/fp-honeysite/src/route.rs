@@ -1,8 +1,8 @@
 //! The route kernel: the one place the detector chain runs.
 //!
-//! All three ingest engines — the sequential [`HoneySite::ingest`] loop,
-//! the batch [`HoneySite::ingest_stream`] and the resident
-//! [`HoneySite::serve`] — decide a request through the same three parts,
+//! Both ingest engines — the sequential [`HoneySite::ingest`] loop and
+//! the resident [`HoneySite::serve`] (which [`HoneySite::ingest_stream`]
+//! drives in batch) — decide a request through the same three parts,
 //! and none of the parts knows which engine drives it:
 //!
 //! * [`Routes`] — the chain split by state anchor. Stateless and per-IP
@@ -13,7 +13,7 @@
 //! * [`RouteWorker`] — one shard's share of a route: it owns its
 //!   detectors and its private timing histograms, observes records in the
 //!   order it is handed them, and runs the sampled chained-stamp timing
-//!   step (see [`DETECTOR_TIMING_SAMPLE`]). The sharded engines fork one
+//!   step (see [`DETECTOR_TIMING_SAMPLE`]). The sharded engine forks one
 //!   worker per shard and route; the sequential engine is one worker over
 //!   the whole chain — one shard on which both routes coincide.
 //! * [`Routes::commit`] — a request's tagged verdicts from every route,

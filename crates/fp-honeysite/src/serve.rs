@@ -1,13 +1,12 @@
-//! The continuously running serving layer.
+//! The continuously running serving layer — the site's one sharded
+//! ingest engine.
 //!
-//! [`HoneySite::serve`] turns the site into an [`FpService`]: instead of
-//! the batch pipeline's two sequential `std::thread::scope` barriers
-//! ([`HoneySite::ingest_stream`] derives every record, joins, then runs
-//! every per-cookie detector, joins again), the service keeps its workers
-//! running behind **bounded queues** and processes each request end to
+//! [`HoneySite::serve`] turns the site into an [`FpService`]: resident
+//! workers behind **bounded queues** that process each request end to
 //! end as it arrives — the shape a deployed honey site actually has, and
 //! the shape the always-on admission-to-verdict histogram was built to
-//! measure.
+//! measure. [`HoneySite::ingest_stream`] is a batch driver over the same
+//! service: submit every request, then [`FpService::finish`].
 //!
 //! Topology (one thread per box, one bounded queue per arrow):
 //!
@@ -27,6 +26,15 @@
 //!   wait for drain (nothing dropped, latency absorbs the spike) and
 //!   [`OverflowPolicy::Shed`] returns [`SubmitOutcome::Shed`]
 //!   immediately and bumps [`SERVE_REQUESTS_SHED`].
+//! * **Micro-batched hand-offs**: each stage takes everything queued on
+//!   its input under one lock, processes it, and forwards one batch per
+//!   destination queue, pushed under one lock per chunk that fits the
+//!   free room. There is no batch size and no timer, so no request waits
+//!   for a batch to fill: a batch is whatever has queued up — about one
+//!   request under light load, larger under saturation, where per-item
+//!   locking and wake-ups would otherwise bound throughput. Capacities
+//!   count items, so each stage holds at most one drained queue's worth
+//!   beyond its queues.
 //! * **Workers never block on each other**: each shard worker blocks
 //!   only on its own input queue and on the collector queue (a sink that
 //!   is always drained). The queue graph is acyclic, so the service
@@ -34,29 +42,29 @@
 //! * **A dying stage never strands the others**: every stage closes the
 //!   queues it consumes (and a shard worker signs off with the collector)
 //!   from a drop guard, on a normal exit and on a panic alike. A push
-//!   into a closed queue drops the item instead of waiting, so a
+//!   into a closed queue drops the items instead of waiting, so a
 //!   panicking detector cannot hang `submit`, the collector, `finish` or
 //!   `Drop`; [`FpService::finish`] re-raises the first stage panic.
-//! * **Flag identity with the batch path**: the shard workers are the
-//!   route kernel's, forked over the same anchor split as
-//!   `ingest_stream`; routing uses the same [`shard_for`] keys, the
-//!   enricher forwards work in admission order (FIFO queues preserve it
-//!   per shard), and detectors observe records in the same pre-verdict
-//!   state (`id == 0`, empty verdict set). For any anchor value the
-//!   observing detector fork sees exactly the subsequence the sequential
-//!   loop would have shown it — verdict-for-verdict equivalence at any
-//!   shard count (property-tested in `tests/serve.rs`).
+//! * **Flag identity with the sequential loop**: the shard workers are
+//!   the route kernel's, forked over its anchor split; routing uses the
+//!   [`shard_for`] keys, the enricher forwards work in admission order
+//!   (FIFO queues and order-preserving batches keep it per shard), and
+//!   detectors observe records in the same pre-verdict state (`id == 0`,
+//!   empty verdict set). For any anchor value the observing detector
+//!   fork sees exactly the subsequence the sequential loop would have
+//!   shown it — verdict-for-verdict equivalence at any shard count
+//!   (property-tested in `tests/serve.rs` and `tests/streaming.rs`).
 //! * **In-order commit**: the collector holds a reorder buffer and
 //!   commits records to the store strictly in admission order through
 //!   the kernel's chain-order commit, so dense ids, iteration order and
-//!   the sharded indexes all match the batch paths.
+//!   the sharded indexes all match the sequential loop.
 
 use crate::route::{RouteWorker, TaggedVerdicts};
 use crate::site::{derive_record, HoneySite};
 use crate::store::{RequestStore, StoredRequest};
 use fp_obs::{Counter, Gauge, Histogram};
 use fp_types::{shard_for, CookieId, OverflowPolicy, Request, ServeConfig};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -82,7 +90,8 @@ pub const SERVE_COLLECTOR_DEPTH_PEAK: &str = "serve_collector_depth_peak";
 pub enum SubmitOutcome {
     /// Admitted and enqueued; a verdict will be committed for it.
     Enqueued,
-    /// No registered token — not recorded, exactly like the batch paths.
+    /// No registered token — not recorded, exactly like the sequential
+    /// loop.
     Rejected,
     /// The admission gate said no (TTL blocklist / policy): never
     /// enqueued, counted in [`SERVE_REQUESTS_DENIED`].
@@ -95,10 +104,9 @@ pub enum SubmitOutcome {
     Shed,
 }
 
-/// A bounded MPSC queue: `Mutex<VecDeque>` plus two condvars. Honest and
-/// boring on purpose — the queues carry a few thousand items per bench
-/// run and every consumer does real detector work per item, so lock-free
-/// cleverness would buy nothing measurable.
+/// A bounded MPSC queue: `Mutex<VecDeque>` plus two condvars. Consumers
+/// take everything queued at once and producers push whole batches, so a
+/// stage pays one lock and one wake-up per batch, not per item.
 struct BoundedQueue<T> {
     state: Mutex<QueueState<T>>,
     capacity: usize,
@@ -107,7 +115,7 @@ struct BoundedQueue<T> {
 }
 
 struct QueueState<T> {
-    items: std::collections::VecDeque<T>,
+    items: VecDeque<T>,
     closed: bool,
     /// High-water mark, for the depth gauges.
     peak: usize,
@@ -117,7 +125,7 @@ impl<T> BoundedQueue<T> {
     fn new(capacity: usize) -> BoundedQueue<T> {
         BoundedQueue {
             state: Mutex::new(QueueState {
-                items: std::collections::VecDeque::new(),
+                items: VecDeque::new(),
                 closed: false,
                 peak: 0,
             }),
@@ -143,6 +151,27 @@ impl<T> BoundedQueue<T> {
         self.not_empty.notify_one();
     }
 
+    /// Push every item of `batch` in order, leaving it empty: each chunk
+    /// fills the free room under one lock, waiting for room between
+    /// chunks. A closed queue drops the rest of the batch.
+    fn push_batch(&self, batch: &mut Vec<T>) {
+        let mut items = batch.drain(..);
+        while !items.as_slice().is_empty() {
+            let mut s = self.state.lock().expect("queue poisoned");
+            while s.items.len() >= self.capacity && !s.closed {
+                s = self.not_full.wait(s).expect("queue poisoned");
+            }
+            if s.closed {
+                return;
+            }
+            let room = self.capacity - s.items.len();
+            s.items.extend(items.by_ref().take(room));
+            s.peak = s.peak.max(s.items.len());
+            drop(s);
+            self.not_empty.notify_one();
+        }
+    }
+
     /// Push if there is space, else hand the item back (the Shed
     /// posture — never blocks).
     fn try_push(&self, item: T) -> Result<(), T> {
@@ -157,24 +186,27 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Pop, waiting for an item; `None` once the queue is closed *and*
-    /// drained (the consumer's shutdown signal).
-    fn pop_block(&self) -> Option<T> {
+    /// Move every queued item into `batch` (which must be empty), waiting
+    /// for at least one; `false` once the queue is closed *and* drained
+    /// (the consumer's shutdown signal).
+    fn pop_all(&self, batch: &mut VecDeque<T>) -> bool {
+        debug_assert!(batch.is_empty(), "the previous batch was processed");
         let mut s = self.state.lock().expect("queue poisoned");
-        loop {
-            if let Some(item) = s.items.pop_front() {
-                drop(s);
-                self.not_full.notify_one();
-                return Some(item);
-            }
+        while s.items.is_empty() {
             if s.closed {
-                return None;
+                return false;
             }
             s = self.not_empty.wait(s).expect("queue poisoned");
         }
+        // Swapping hands the queue the consumer's spent buffer, so the
+        // two allocations take turns instead of being made afresh.
+        std::mem::swap(&mut s.items, batch);
+        drop(s);
+        self.not_full.notify_all();
+        true
     }
 
-    /// Close the queue: producers stop, consumers drain then see `None`.
+    /// Close the queue: producers stop, consumers drain then see `false`.
     /// Idempotent.
     fn close(&self) {
         self.state.lock().expect("queue poisoned").closed = true;
@@ -234,7 +266,7 @@ struct IngressItem {
     cookie: CookieId,
     ip_hash: u64,
     /// Admission stamp (the latency window opens here); only taken when
-    /// a registry is attached, like the batch paths.
+    /// a registry is attached, like the sequential loop.
     stamp: Option<Instant>,
 }
 
@@ -312,10 +344,10 @@ pub struct FpService {
 
 impl HoneySite {
     /// Start serving: move the site behind a running [`FpService`].
-    /// Requires an empty store (like [`HoneySite::ingest_stream`], the
-    /// recorded store is built by the service and adopted wholesale at
-    /// [`FpService::finish`]); each call forks fresh detector state from
-    /// the chain prototypes — a new measurement run.
+    /// Requires an empty store (the recorded store is built by the
+    /// service and adopted wholesale at [`FpService::finish`]); each call
+    /// forks fresh detector state from the chain prototypes — a new
+    /// measurement run.
     pub fn serve(self, config: ServeConfig) -> FpService {
         assert!(
             self.store().is_empty(),
@@ -350,9 +382,10 @@ impl HoneySite {
             Arc::new(BoundedQueue::new(config.shard_capacity.max(n * 2)));
         let gate = Arc::new(PauseGate::new(config.start_paused));
 
-        // Enricher: FIFO over the ingress queue preserves admission
-        // order into every shard queue, which is what keeps per-anchor
-        // subsequences — and therefore verdicts — batch-identical.
+        // Enricher: FIFO over the ingress queue, and batches that keep
+        // their order, preserve admission order into every shard queue,
+        // which is what keeps per-anchor subsequences — and therefore
+        // verdicts — identical to the sequential loop.
         let enricher = {
             let ingress = ingress.clone();
             let ip_queues = ip_queues.clone();
@@ -365,20 +398,28 @@ impl HoneySite {
                         q.close();
                     }
                 });
+                let mut batch = VecDeque::new();
+                let mut ip_out: Vec<Vec<ShardWork>> = (0..n).map(|_| Vec::new()).collect();
+                let mut cookie_out: Vec<Vec<ShardWork>> = (0..n).map(|_| Vec::new()).collect();
                 gate.wait_open();
-                while let Some(item) = ingress.pop_block() {
-                    let record = Arc::new(derive_record(&item.request, item.cookie));
-                    let work = ShardWork {
-                        seq: item.seq,
-                        record: record.clone(),
-                        stamp: item.stamp,
-                    };
-                    ip_queues[shard_for(item.ip_hash, n)].push_block(work);
-                    cookie_queues[shard_for(item.cookie, n)].push_block(ShardWork {
-                        seq: item.seq,
-                        record,
-                        stamp: item.stamp,
-                    });
+                while ingress.pop_all(&mut batch) {
+                    for item in batch.drain(..) {
+                        let record = Arc::new(derive_record(&item.request, item.cookie));
+                        ip_out[shard_for(item.ip_hash, n)].push(ShardWork {
+                            seq: item.seq,
+                            record: record.clone(),
+                            stamp: item.stamp,
+                        });
+                        cookie_out[shard_for(item.cookie, n)].push(ShardWork {
+                            seq: item.seq,
+                            record,
+                            stamp: item.stamp,
+                        });
+                    }
+                    let outs = ip_out.iter_mut().chain(cookie_out.iter_mut());
+                    for (queue, out) in ip_queues.iter().chain(cookie_queues.iter()).zip(outs) {
+                        queue.push_batch(out);
+                    }
                 }
             })
         };
@@ -396,7 +437,7 @@ impl HoneySite {
                 let mut worker = RouteWorker::fork(self.chain(), positions, obs.is_some());
                 let detector_ns = detector_ns.clone();
                 let queue = queue.clone();
-                let out = collector_queue.clone();
+                let sink = collector_queue.clone();
                 workers.push(std::thread::spawn(move || {
                     // Sign off however this worker exits: a worker that
                     // died without its `WorkerDone` would leave the
@@ -404,17 +445,22 @@ impl HoneySite {
                     // full input queue would block the enricher.
                     let _sign_off = OnExit(|| {
                         queue.close();
-                        out.push_block(Collected::WorkerDone);
+                        sink.push_block(Collected::WorkerDone);
                     });
-                    while let Some(work) = queue.pop_block() {
-                        let tagged = worker.observe(work.seq, &work.record);
-                        out.push_block(Collected::Verdicts {
-                            seq: work.seq,
-                            route,
-                            record: work.record,
-                            stamp: work.stamp,
-                            tagged,
-                        });
+                    let mut batch = VecDeque::new();
+                    let mut out = Vec::new();
+                    while queue.pop_all(&mut batch) {
+                        for work in batch.drain(..) {
+                            let tagged = worker.observe(work.seq, &work.record);
+                            out.push(Collected::Verdicts {
+                                seq: work.seq,
+                                route,
+                                record: work.record,
+                                stamp: work.stamp,
+                                tagged,
+                            });
+                        }
+                        sink.push_batch(&mut out);
                     }
                     worker.flush(&detector_ns);
                 }));
@@ -431,50 +477,52 @@ impl HoneySite {
                 let _close = OnExit(|| queue.close());
                 let mut store = RequestStore::with_shards(n);
                 let mut pending: HashMap<u64, Pending> = HashMap::new();
+                let mut batch = VecDeque::new();
                 let mut next = 0u64;
                 let mut done = 0usize;
                 while done < 2 * n {
-                    match queue
-                        .pop_block()
-                        .expect("workers close after done messages")
-                    {
-                        Collected::WorkerDone => done += 1,
-                        Collected::Verdicts {
-                            seq,
-                            route,
-                            record,
-                            stamp,
-                            tagged,
-                        } => {
-                            let entry = pending.entry(seq).or_default();
-                            match route {
-                                Route::Ip => entry.ip = Some(tagged),
-                                Route::Cookie => entry.cookie = Some(tagged),
-                            }
-                            // Both routes carry an Arc clone; keep one,
-                            // drop the other so the commit can unwrap.
-                            if entry.record.is_none() {
-                                entry.record = Some(record);
-                            }
-                            entry.stamp = entry.stamp.or(stamp);
-                            while pending
-                                .get(&next)
-                                .is_some_and(|e| e.ip.is_some() && e.cookie.is_some())
-                            {
-                                let e = pending.remove(&next).expect("checked above");
-                                let arc = e.record.expect("every verdict carries its record");
-                                let mut record =
-                                    Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone());
-                                let mut tagged = e.ip.expect("checked above");
-                                tagged.extend(e.cookie.expect("checked above"));
-                                routes.commit(&mut record, tagged);
-                                if let (Some(h), Some(stamp)) = (&latency, e.stamp) {
-                                    h.record(stamp.elapsed().as_nanos() as u64);
+                    let open = queue.pop_all(&mut batch);
+                    assert!(open, "only the collector closes its own queue");
+                    for collected in batch.drain(..) {
+                        match collected {
+                            Collected::WorkerDone => done += 1,
+                            Collected::Verdicts {
+                                seq,
+                                route,
+                                record,
+                                stamp,
+                                tagged,
+                            } => {
+                                let entry = pending.entry(seq).or_default();
+                                match route {
+                                    Route::Ip => entry.ip = Some(tagged),
+                                    Route::Cookie => entry.cookie = Some(tagged),
                                 }
-                                store.push(record);
-                                next += 1;
+                                // Both routes carry a handle on the record:
+                                // the second one is dropped right here, so
+                                // the commit below holds the only one and
+                                // takes the record without copying it.
+                                entry.record.get_or_insert(record);
+                                entry.stamp = entry.stamp.or(stamp);
                             }
                         }
+                    }
+                    while pending
+                        .get(&next)
+                        .is_some_and(|e| e.ip.is_some() && e.cookie.is_some())
+                    {
+                        let e = pending.remove(&next).expect("checked above");
+                        let arc = e.record.expect("every verdict carries its record");
+                        let mut record =
+                            Arc::into_inner(arc).expect("both routes handed their handles back");
+                        let mut tagged = e.ip.expect("checked above");
+                        tagged.extend(e.cookie.expect("checked above"));
+                        routes.commit(&mut record, tagged);
+                        if let (Some(h), Some(stamp)) = (&latency, e.stamp) {
+                            h.record(stamp.elapsed().as_nanos() as u64);
+                        }
+                        store.push(record);
+                        next += 1;
                     }
                 }
                 assert!(pending.is_empty(), "every admitted request must commit");
@@ -497,6 +545,35 @@ impl HoneySite {
             shed: 0,
             denied: 0,
         }
+    }
+
+    /// Ingest a whole request stream on `shards` worker shards: serve it
+    /// with [`ServeConfig::with_shards`], submitting every request, then
+    /// [`FpService::finish`].
+    ///
+    /// Semantics match feeding the same stream to [`HoneySite::ingest`] on
+    /// a fresh site: each call forks fresh detector state from the chain
+    /// prototypes (a new measurement run), so don't interleave it with
+    /// sequential ingest of the same anchors. Requires an empty store.
+    /// Returns the number of admitted requests.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a detector's panic, like [`FpService::finish`]; the site
+    /// is lost with the run.
+    pub fn ingest_stream(
+        &mut self,
+        requests: impl IntoIterator<Item = Request>,
+        shards: usize,
+    ) -> usize {
+        let site = std::mem::replace(self, HoneySite::with_chain(Vec::new()));
+        let mut service = site.serve(ServeConfig::with_shards(shards));
+        for request in requests {
+            service.submit(request);
+        }
+        let admitted = service.enqueued_count() as usize;
+        *self = service.finish();
+        admitted
     }
 }
 
@@ -644,6 +721,175 @@ impl Drop for FpService {
     fn drop(&mut self) {
         if self.collector.is_some() {
             let _ = self.stop();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fp_fingerprint::{
+        BrowserFamily, BrowserProfile, Collector, DeviceKind, DeviceProfile, LocaleSpec,
+    };
+    use fp_types::{sym, BehaviorTrace, SimTime, Splittable, TrafficSource};
+    use std::net::Ipv4Addr;
+
+    fn requests(count: u32) -> Vec<Request> {
+        let mut rng = Splittable::new(9);
+        (0..count)
+            .map(|i| {
+                let d = DeviceProfile::sample(DeviceKind::WindowsDesktop, &mut rng);
+                let b = BrowserProfile::contemporary(BrowserFamily::Chrome, &mut rng);
+                Request {
+                    id: 0,
+                    time: SimTime::from_day(0, u64::from(i)),
+                    site_token: sym("tok"),
+                    ip: Ipv4Addr::new(73, 9, (i % 5) as u8, 9),
+                    cookie: (i % 3 != 0).then(|| u64::from(i % 7)),
+                    fingerprint: Collector::collect(&d, &b, &LocaleSpec::en_us()),
+                    tls: b.family.tls_facet(),
+                    behavior: BehaviorTrace::silent(),
+                    cadence: fp_types::BehaviorFacet::unobserved(),
+                    source: TrafficSource::RealUser,
+                }
+            })
+            .collect()
+    }
+
+    fn fresh_site() -> HoneySite {
+        let mut site = HoneySite::new();
+        site.register_token(sym("tok"));
+        site
+    }
+
+    #[test]
+    fn stream_matches_sequential_at_any_shard_count() {
+        let reqs = requests(120);
+        let mut sequential = fresh_site();
+        sequential.ingest_all(reqs.clone());
+        for shards in [1, 2, 3, 8] {
+            let mut streamed = fresh_site();
+            let admitted = streamed.ingest_stream(reqs.clone(), shards);
+            assert_eq!(admitted, sequential.store().len());
+            for (a, b) in sequential.store().iter().zip(streamed.store().iter()) {
+                assert_eq!(a.id, b.id);
+                assert_eq!(a.cookie, b.cookie, "cookie issuance must match");
+                assert_eq!(
+                    a.verdicts, b.verdicts,
+                    "request {} at {shards} shards",
+                    a.id
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn stream_counts_rejections() {
+        let mut reqs = requests(10);
+        reqs[3].site_token = sym("unknown");
+        let mut site = fresh_site();
+        let admitted = site.ingest_stream(reqs, 2);
+        assert_eq!(admitted, 9);
+        assert_eq!(site.rejected_count(), 1);
+        assert_eq!(site.store().len(), 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "sequential ingest after ingest_stream")]
+    fn sequential_ingest_after_stream_is_refused() {
+        let mut site = fresh_site();
+        site.ingest_stream(requests(10), 2);
+        // The chain prototypes never saw those 10 requests; judging a new
+        // one from their empty state would mis-score stateful detectors.
+        let _ = site.ingest(requests(1).pop().unwrap());
+    }
+
+    #[test]
+    fn stream_adoption_keeps_the_sites_retention_policy() {
+        use fp_types::RetentionPolicy;
+        let mut site = fresh_site();
+        site.set_retention(RetentionPolicy::SlidingWindow { epochs: 1 });
+        site.ingest_stream(requests(30), 2);
+        assert_eq!(
+            site.store().retention(),
+            RetentionPolicy::SlidingWindow { epochs: 1 },
+            "the adopted store must inherit the configured policy"
+        );
+        // The documented streaming recipe — seal after the call — must
+        // enforce the configured window, not silently KeepAll.
+        site.seal_epoch();
+        assert_eq!(
+            site.store().len(),
+            30,
+            "one sealed epoch: inside the window"
+        );
+        let second = site.seal_epoch();
+        assert_eq!(second.records_evicted, 30, "the next seal ages it out");
+        assert!(site.store().is_empty());
+    }
+
+    #[test]
+    fn stream_metrics_totals_are_shard_invariant() {
+        use fp_obs::MetricsRegistry;
+        let reqs = requests(120);
+        let mut per_shard_totals = Vec::new();
+        for shards in [1, 2, 8] {
+            let registry = Arc::new(MetricsRegistry::new());
+            let mut site = fresh_site();
+            site.set_metrics(registry.clone());
+            let admitted = site.ingest_stream(reqs.clone(), shards) as u64;
+            let snap = registry.snapshot();
+            assert_eq!(
+                snap.counter(crate::site::REQUESTS_ADMITTED),
+                Some(admitted),
+                "{shards} shards"
+            );
+            let latency = snap
+                .histogram(crate::site::ADMISSION_TO_VERDICT_NS)
+                .expect("latency histogram registered");
+            assert_eq!(latency.count(), admitted, "{shards} shards");
+            // Every detector's timing histogram holds exactly the sampled
+            // arrival indexes (1 in DETECTOR_TIMING_SAMPLE), whatever the
+            // partition — the sample keys on arrival order, not on shards.
+            let sampled = admitted.div_ceil(crate::site::DETECTOR_TIMING_SAMPLE);
+            let detector_counts: Vec<(String, u64)> = snap
+                .metrics
+                .iter()
+                .filter(|m| m.name.starts_with("detector_observe_ns_"))
+                .map(|m| match &m.value {
+                    fp_obs::Value::Histogram(h) => (m.name.clone(), h.count()),
+                    other => panic!("{}: unexpected {other:?}", m.name),
+                })
+                .collect();
+            assert_eq!(detector_counts.len(), 4, "default chain");
+            for (name, count) in &detector_counts {
+                assert_eq!(*count, sampled, "{name} at {shards} shards");
+            }
+            per_shard_totals.push((admitted, detector_counts));
+        }
+        assert!(
+            per_shard_totals.windows(2).all(|w| w[0] == w[1]),
+            "shard-invariant totals: {per_shard_totals:?}"
+        );
+    }
+
+    #[test]
+    fn stream_builds_sharded_indexes() {
+        let reqs = requests(60);
+        let mut site = fresh_site();
+        site.ingest_stream(reqs, 4);
+        assert_eq!(site.store().index_shards(), 4);
+        // Index answers match a sequentially built store.
+        let mut sequential = fresh_site();
+        sequential.ingest_all(requests(60));
+        for cookie in 0..7 {
+            let a: Vec<u64> = sequential
+                .store()
+                .with_cookie(cookie)
+                .map(|r| r.id)
+                .collect();
+            let b: Vec<u64> = site.store().with_cookie(cookie).map(|r| r.id).collect();
+            assert_eq!(a, b);
         }
     }
 }

@@ -63,18 +63,19 @@ pub(crate) struct SiteMetrics {
 pub struct HoneySite {
     tokens: HashSet<Symbol>,
     /// The chain prototypes, held as the sequential engine's route
-    /// worker: the whole chain on one shard. The sharded engines fork
-    /// their workers from these.
+    /// worker: the whole chain on one shard. The serving layer forks its
+    /// shard workers from these.
     chain: RouteWorker,
     /// The chain split by state anchor, names interned once.
     routes: Routes,
     store: RequestStore,
     cookie_counter: u64,
     rejected: u64,
-    /// Set once `ingest_stream` has run: the chain prototypes never
-    /// observed the streamed requests (shard forks did), so sequential
-    /// `ingest` afterwards would judge stateful detectors from empty
-    /// history. Guarded with an assert instead of silently mis-scoring.
+    /// Set once `serve` (or its `ingest_stream` driver) has handed its
+    /// store back: the chain prototypes never observed the served
+    /// requests (shard forks did), so sequential `ingest` afterwards
+    /// would judge stateful detectors from empty history. Guarded with an
+    /// assert instead of silently mis-scoring.
     streamed: bool,
     /// Single-shot epoch cadence: with `Some(n)`, sequential ingest seals
     /// a store epoch every `n` admitted requests, so a long-running site
@@ -155,7 +156,7 @@ impl HoneySite {
         self.metrics.as_ref().map(|m| &m.registry)
     }
 
-    /// The site's instrument handles (streaming pipeline internals).
+    /// The site's instrument handles (serving layer internals).
     pub(crate) fn site_metrics(&self) -> Option<&SiteMetrics> {
         self.metrics.as_ref()
     }
@@ -242,9 +243,10 @@ impl HoneySite {
 
         // Real-time decisions from the whole chain (Figure 3). Detectors
         // observe the record before any verdict is attached, exactly like
-        // the sharded engines, so the paths are interchangeable. The
-        // arrival index of this admitted request (rejections never get
-        // here) keys the deterministic detector-timing sample.
+        // the serving layer's shard workers, so the paths are
+        // interchangeable. The arrival index of this admitted request
+        // (rejections never get here) keys the deterministic
+        // detector-timing sample.
         let tagged = self.chain.observe(self.store.total_ingested(), &record);
         self.routes.commit(&mut record, tagged);
         let id = self.store.push(record);
@@ -279,11 +281,11 @@ impl HoneySite {
         &self.store
     }
 
-    /// Replace the store (streaming pipeline hand-over) and mark the site
-    /// as stream-ingested (see the `streamed` field). The site's
-    /// configured retention policy carries over to the adopted store —
-    /// `from_parts` builds single-epoch stores and knows nothing of the
-    /// site's bounding choices.
+    /// Replace the store (the serving layer's hand-over at `finish`) and
+    /// mark the site as stream-ingested (see the `streamed` field). The
+    /// site's configured retention policy carries over to the adopted
+    /// store — the service builds a single-epoch store and knows nothing
+    /// of the site's bounding choices.
     pub(crate) fn set_store(&mut self, mut store: RequestStore) {
         store.set_retention(self.store.retention());
         if let Some(m) = &self.metrics {

@@ -15,9 +15,8 @@
 //! is resident.
 //!
 //! Index maps are sharded by [`fp_types::shard_for`] within each segment
-//! so the streaming ingest pipeline can build them on N worker shards and
-//! hand them over without a single-threaded re-index pass; a never-sealed
-//! store is exactly the pre-refactor single-segment store.
+//! (the serving layer's store gets one shard per ingest shard); a
+//! never-sealed store is exactly the pre-refactor single-segment store.
 
 pub use fp_types::stored::StoredRequest;
 
@@ -197,47 +196,6 @@ impl RequestStore {
         let mut store = RequestStore::new();
         store.policy = policy;
         store
-    }
-
-    /// Assemble a store from parts the streaming pipeline built in
-    /// parallel: records in arrival order (ids already dense) plus the
-    /// per-shard index maps. `by_cookie[s]` must hold exactly the cookies
-    /// with `shard_for(cookie, shards) == s` (same for `by_ip`), with
-    /// positions in arrival order. The parts become the store's (single)
-    /// active segment.
-    pub fn from_parts(
-        requests: Vec<StoredRequest>,
-        by_cookie: Vec<HashMap<CookieId, Vec<usize>>>,
-        by_ip: Vec<HashMap<u64, Vec<usize>>>,
-    ) -> RequestStore {
-        assert_eq!(
-            by_cookie.len(),
-            by_ip.len(),
-            "index shard counts must match"
-        );
-        assert!(
-            !by_cookie.is_empty(),
-            "at least one index shard is required (queries index by shard_for)"
-        );
-        let shards = by_cookie.len();
-        let next_id = requests.len() as RequestId;
-        RequestStore {
-            shards,
-            policy: RetentionPolicy::KeepAll,
-            sealed: Vec::new(),
-            active: Segment {
-                epoch: Epoch(0),
-                id: None,
-                records: requests,
-                by_cookie,
-                by_ip,
-            },
-            next_id,
-            stats: SegmentStats::default(),
-            indexing: true,
-            retained_through: None,
-            metrics: None,
-        }
     }
 
     /// Attach a metrics registry: every seal and ahead-of-seal eviction
@@ -589,12 +547,6 @@ mod tests {
             source: TrafficSource::Bot(ServiceId(1)),
             verdicts: VerdictSet::from_services(false, true),
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one index shard")]
-    fn from_parts_rejects_empty_shard_vectors() {
-        let _ = RequestStore::from_parts(Vec::new(), Vec::new(), Vec::new());
     }
 
     #[test]

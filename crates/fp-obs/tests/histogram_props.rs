@@ -7,8 +7,8 @@ proptest::proptest! {
     /// Splitting a value stream over any shard count and merging the
     /// per-shard histograms equals recording the whole stream into one
     /// histogram — bucket for bucket, sum for sum. This is the property
-    /// `ingest_stream` relies on when its workers fill `LocalHistogram`s
-    /// merged at join.
+    /// the serving layer relies on when its shard workers fill
+    /// `LocalHistogram`s and fold them in as they exit.
     #[test]
     fn shard_merge_equals_single_shard(
         values in proptest::collection::vec(0u64..u64::MAX, 1..400),

@@ -1,15 +1,13 @@
 //! Configuration for the continuous serving layer.
 //!
-//! The batch ingest paths (`ingest_all`, `ingest_stream`) process a
-//! finished request list inside one call; the serving layer
-//! (`fp-honeysite`'s `serve` module) instead keeps shard workers running
-//! behind bounded queues so requests are admitted one at a time, the way
-//! a deployed honey site sees them. This module holds only the *shape*
-//! of that service — queue capacities and the overflow contract — so
-//! `fp-bench` and the benchmark harness can describe a serving topology
-//! without depending on the implementation crate.
-
-use crate::mix::shard_for;
+//! The serving layer (`fp-honeysite`'s `serve` module) keeps shard
+//! workers running behind bounded queues so requests are admitted one at
+//! a time, the way a deployed honey site sees them; the batch
+//! `ingest_stream` drives the same service over a finished request list.
+//! This module holds only the *shape* of that service — queue capacities
+//! and the overflow contract — so `fp-bench` and the benchmark harness
+//! can describe a serving topology without depending on the
+//! implementation crate.
 
 /// What `submit` does when a bounded queue is full.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,9 +30,10 @@ pub enum OverflowPolicy {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Detector shard count per route (IP-scoped and cookie-scoped
-    /// detectors each get this many workers). Routing uses the same
-    /// [`shard_for`] keys as the batch pipeline, so flag identity with
-    /// the batch path holds at any shard count.
+    /// detectors each get this many workers). Routing keys on
+    /// [`shard_for`](crate::shard_for) of each detector's state anchor,
+    /// so flag identity with the sequential path holds at any shard
+    /// count.
     pub shards: usize,
     /// Capacity of the ingress queue between the submitting caller and
     /// the enricher thread. This is the queue the overflow policy
@@ -57,28 +56,17 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// A serving config with the given shard count and generous
-    /// defaults: 1024-deep ingress and 256-deep shard queues, blocking
-    /// overflow, not paused.
+    /// defaults: 4096-deep ingress and 1024-deep shard queues (the
+    /// benchmark's serving shape, and what `ingest_stream` runs with),
+    /// blocking overflow, not paused.
     pub fn with_shards(shards: usize) -> ServeConfig {
         ServeConfig {
             shards: shards.max(1),
-            ingress_capacity: 1024,
-            shard_capacity: 256,
+            ingress_capacity: 4096,
+            shard_capacity: 1024,
             overflow: OverflowPolicy::Block,
             start_paused: false,
         }
-    }
-
-    /// The shard a request's IP-scoped work routes to — same key and
-    /// function as the batch pipeline ([`shard_for`] over the hashed
-    /// source IP), which is what keeps batch↔serve flags identical.
-    pub fn ip_shard(&self, ip_hash: u64) -> usize {
-        shard_for(ip_hash, self.shards)
-    }
-
-    /// The shard a request's cookie-scoped work routes to.
-    pub fn cookie_shard(&self, cookie: u64) -> usize {
-        shard_for(cookie, self.shards)
     }
 }
 
@@ -95,14 +83,5 @@ mod tests {
     #[test]
     fn with_shards_clamps_zero() {
         assert_eq!(ServeConfig::with_shards(0).shards, 1);
-    }
-
-    #[test]
-    fn shard_routing_matches_shard_for() {
-        let cfg = ServeConfig::with_shards(8);
-        for k in [0u64, 1, 42, u64::MAX] {
-            assert_eq!(cfg.ip_shard(k), shard_for(k, 8));
-            assert_eq!(cfg.cookie_shard(k), shard_for(k, 8));
-        }
     }
 }

@@ -3,8 +3,11 @@
 //! to the batch paths for every admitted request, shed *exactly* the
 //! over-capacity remainder under a flash crowd, and never deadlock.
 
-use fp_honeysite::serve::{SERVE_REQUESTS_DENIED, SERVE_REQUESTS_SHED};
-use fp_honeysite::{StoredRequest, SubmitOutcome};
+use fp_honeysite::serve::{
+    SERVE_COLLECTOR_DEPTH_PEAK, SERVE_INGRESS_DEPTH_PEAK, SERVE_REQUESTS_DENIED,
+    SERVE_REQUESTS_SHED, SERVE_SHARD_DEPTH_PEAK,
+};
+use fp_honeysite::{FpService, StoredRequest, SubmitOutcome};
 use fp_inconsistent::prelude::*;
 use fp_obs::MetricsRegistry;
 use fp_types::{
@@ -78,6 +81,17 @@ fn full_chain_site() -> HoneySite {
     site
 }
 
+/// Finish `service` on its own thread: the deadlock guard — the drain
+/// must complete well under the timeout.
+fn finish_within_deadline(service: FpService) -> HoneySite {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(service.finish());
+    });
+    rx.recv_timeout(Duration::from_secs(60))
+        .expect("serving drain deadlocked")
+}
+
 /// The burst integration test (flash crowd at 4× the ingress capacity):
 /// (a) verdicts for every admitted request are identical to the batch
 /// path, (b) the shed counter equals *exactly* the over-capacity
@@ -112,16 +126,7 @@ fn burst_at_4x_capacity_sheds_exactly_and_matches_batch() {
         "shed must be exactly the over-capacity remainder"
     );
     service.resume();
-
-    // Deadlock guard: the drain must complete well under the timeout.
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(service.finish());
-    });
-    let site = rx
-        .recv_timeout(Duration::from_secs(60))
-        .expect("serving drain deadlocked");
-    let served = site.into_store();
+    let served = finish_within_deadline(service).into_store();
 
     // Admitted = the first CAPACITY submissions (the queue filled in
     // submit order). Their verdicts must equal the sequential batch path
@@ -172,6 +177,65 @@ fn block_overflow_completes_everything_through_tiny_queues() {
     assert_eq!(store.len(), 100);
     let ids: Vec<u64> = store.iter().map(|r| r.id).collect();
     assert_eq!(ids, (0..100).collect::<Vec<u64>>(), "in-order commit");
+}
+
+/// Bounded memory: no queue ever holds more than its capacity. A paused
+/// service fills its ingress queue, then the enricher drains all of it
+/// at once and forwards 64-request batches into 2-deep shard queues —
+/// every hand-off runs the chunked wait-for-room path.
+#[test]
+fn queue_depths_stay_within_their_capacities() {
+    const INGRESS: usize = 64;
+    const SHARD: usize = 2;
+    let requests = varied_requests(INGRESS as u64);
+    let mut batch_site = full_chain_site();
+    batch_site.ingest_all(requests.iter().cloned());
+    let batch = batch_site.into_store();
+
+    for shards in [1usize, 2] {
+        let registry = Arc::new(MetricsRegistry::new());
+        let mut site = full_chain_site();
+        site.set_metrics(registry.clone());
+        let mut service = site.serve(ServeConfig {
+            shards,
+            ingress_capacity: INGRESS,
+            shard_capacity: SHARD,
+            overflow: OverflowPolicy::Block,
+            start_paused: true,
+        });
+        for request in requests.iter().cloned() {
+            assert_eq!(service.submit(request), SubmitOutcome::Enqueued);
+        }
+        service.resume();
+        let served = finish_within_deadline(service).into_store();
+
+        let snap = registry.snapshot();
+        let peak = |name: &str| snap.gauge(name).expect("depth gauges are set at finish");
+        // Filled to capacity and never past it: the paused intake holds
+        // every submission, and each shard queue takes its batch in
+        // 2-item chunks.
+        assert_eq!(peak(SERVE_INGRESS_DEPTH_PEAK), INGRESS as i64);
+        assert_eq!(peak(SERVE_SHARD_DEPTH_PEAK), SHARD as i64);
+        // The collector queue holds `shard_capacity`, or one sign-off per
+        // worker if that is more.
+        let collector_capacity = SHARD.max(2 * shards) as i64;
+        assert!(peak(SERVE_COLLECTOR_DEPTH_PEAK) <= collector_capacity);
+
+        let ids: Vec<u64> = served.iter().map(|r| r.id).collect();
+        assert_eq!(
+            ids,
+            (0..INGRESS as u64).collect::<Vec<u64>>(),
+            "in-order commit"
+        );
+        for (a, b) in batch.iter().zip(served.iter()) {
+            assert_eq!(a.cookie, b.cookie, "cookie issuance must match");
+            assert_eq!(
+                a.verdicts, b.verdicts,
+                "request {} at {shards} shards",
+                a.id
+            );
+        }
+    }
 }
 
 /// The admission gate runs before enqueue: denied requests never reach a
