@@ -23,7 +23,7 @@ use crate::{Detector, StateScope, Verdict};
 use fp_netsim::blocklist::is_tor_exit;
 use fp_netsim::NetDb;
 use fp_types::{AttrId, BehaviorTrace, Fingerprint, Request, StoredRequest};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// `ScreenFrame` values DataDome always rejects: no real OS chrome
 /// (taskbar/dock/notch) exceeds this many pixels.
@@ -36,7 +36,7 @@ const CHURN_DISTINCT_FRACTION: f64 = 0.5;
 #[derive(Default)]
 struct IpHistory {
     requests: u32,
-    digests: std::collections::HashSet<u64>,
+    digests: HashSet<u64>,
     /// Once the churn detector fires, the address stays flagged — Appendix G:
     /// DataDome "starts detecting all requests from Brave as bots".
     flagged: bool,
@@ -137,18 +137,22 @@ impl DataDome {
         // Per-IP fingerprint churn: many requests from one address with
         // ever-changing fingerprints is either farbling (Brave) or a bot
         // rotating covers. Evaluated before this request joins the window.
+        // The flag never clears, so once it latches nothing reads the
+        // window again: the address stops being recorded.
         let hist = self.history.entry(ip_key).or_default();
+        if hist.flagged {
+            return Verdict::Bot;
+        }
         if hist.requests >= CHURN_MIN_REQUESTS
             && (hist.digests.len() as f64) / f64::from(hist.requests) > CHURN_DISTINCT_FRACTION
         {
             hist.flagged = true;
+            hist.digests = HashSet::new();
+            return Verdict::Bot;
         }
         hist.requests += 1;
         if hist.digests.len() < 4096 {
             hist.digests.insert(fp.digest());
-        }
-        if hist.flagged {
-            return Verdict::Bot;
         }
 
         if Self::hard_fingerprint_signals(fp) {
@@ -377,6 +381,35 @@ mod tests {
             verdicts[12..].iter().all(|v| *v == Verdict::Bot),
             "churn flagged after the window: {verdicts:?}"
         );
+    }
+
+    #[test]
+    fn a_latched_address_stops_recording_fingerprints() {
+        let mut dd = DataDome::new();
+        let churn = |i: u32| {
+            consistent(DeviceKind::Mac, BrowserFamily::Chrome)
+                .with(AttrId::HardwareConcurrency, i64::from(2 + (i % 13)))
+                .with(
+                    AttrId::DeviceMemory,
+                    AttrValue::float(f64::from(1 << (i % 4))),
+                )
+        };
+        // The churn test's stream latches the flag by request 12.
+        for i in 0..30u32 {
+            let _ = dd.decide(&request(churn(i), human_mouse(), RESIDENTIAL_IP));
+        }
+        let key = NetDb::hash_ip(RESIDENTIAL_IP);
+        assert!(dd.history[&key].flagged);
+        // 50 more distinct fingerprints from the flagged address: all Bot,
+        // and none of them is recorded.
+        for i in 0..50u32 {
+            let fp = churn(i).with(AttrId::ColorDepth, i64::from(100 + i));
+            assert_eq!(
+                dd.decide(&request(fp, human_mouse(), RESIDENTIAL_IP)),
+                Verdict::Bot
+            );
+        }
+        assert!(dd.history[&key].digests.is_empty());
     }
 
     #[test]

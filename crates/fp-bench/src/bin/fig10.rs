@@ -25,7 +25,8 @@ fn main() {
     }
     let total: u64 = platforms.values().sum();
     let mut rows: Vec<(&str, u64)> = platforms.into_iter().collect();
-    rows.sort_by_key(|(_, n)| std::cmp::Reverse(*n));
+    // Ties in request count print in platform order, not hash order.
+    rows.sort_by_key(|&(platform, n)| (std::cmp::Reverse(n), platform));
     println!("{:<18} {:>9} {:>9}", "Platform", "Requests", "Share");
     for (platform, n) in &rows {
         let bar = "#".repeat((*n as f64 / total.max(1) as f64 * 80.0) as usize);

@@ -94,15 +94,10 @@ impl DefenseStack {
 
     /// An empty stack under `policy` (push members to give it teeth).
     pub fn new(policy: Box<dyn DecisionPolicy>) -> DefenseStack {
-        // The training window is only ever read through arrival-ordered
-        // views (members re-mine over `RoundContext::records`); nothing
-        // queries it by cookie or address, so skip the index upkeep.
-        let mut training = RequestStore::new();
-        training.disable_indexing();
         DefenseStack {
             members: Vec::new(),
             policy,
-            training,
+            training: RequestStore::new(),
             metrics: None,
         }
     }

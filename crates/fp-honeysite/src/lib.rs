@@ -23,10 +23,9 @@
 //!   `KeepAll`, the pre-refactor behaviour). Raw IPs never reach
 //!   storage: the pipeline derives what analysis needs (ASN class and
 //!   blocklist facts, geolocation, UTC offset) and keeps a salted hash as
-//!   the address identity (the paper's ethics appendix). The
-//!   cookie/address indexes live per segment, sharded by the ingest
-//!   shard partition, and eviction drops them wholesale with their
-//!   segment, tombstone-free.
+//!   the address identity (the paper's ethics appendix). The store keeps
+//!   records, not indexes: eviction drops a segment's records wholesale,
+//!   tombstone-free, and Figure 10's per-cookie queries are scans.
 //! * [`stats`] — campaign statistics: per-service evasion rates (Table 1)
 //!   and the per-day series of Figure 9.
 //! * [`defense`] — the [`DefenseStack`]: the lifecycle-aware defender API

@@ -56,8 +56,8 @@
 //!   (property-tested in `tests/serve.rs` and `tests/streaming.rs`).
 //! * **In-order commit**: the collector holds a reorder buffer and
 //!   commits records to the store strictly in admission order through
-//!   the kernel's chain-order commit, so dense ids, iteration order and
-//!   the sharded indexes all match the sequential loop.
+//!   the kernel's chain-order commit, so dense ids and iteration order
+//!   match the sequential loop.
 
 use crate::route::{RouteWorker, TaggedVerdicts};
 use crate::site::{derive_record, HoneySite};
@@ -475,7 +475,7 @@ impl HoneySite {
             let latency = obs.as_ref().map(|o| o.latency.clone());
             std::thread::spawn(move || {
                 let _close = OnExit(|| queue.close());
-                let mut store = RequestStore::with_shards(n);
+                let mut store = RequestStore::new();
                 let mut pending: HashMap<u64, Pending> = HashMap::new();
                 let mut batch = VecDeque::new();
                 let mut next = 0u64;
@@ -780,6 +780,15 @@ mod tests {
                     a.id
                 );
             }
+            for cookie in 0..7 {
+                let a: Vec<u64> = sequential
+                    .store()
+                    .with_cookie(cookie)
+                    .map(|r| r.id)
+                    .collect();
+                let b: Vec<u64> = streamed.store().with_cookie(cookie).map(|r| r.id).collect();
+                assert_eq!(a, b, "cookie {cookie} at {shards} shards");
+            }
         }
     }
 
@@ -871,25 +880,5 @@ mod tests {
             per_shard_totals.windows(2).all(|w| w[0] == w[1]),
             "shard-invariant totals: {per_shard_totals:?}"
         );
-    }
-
-    #[test]
-    fn stream_builds_sharded_indexes() {
-        let reqs = requests(60);
-        let mut site = fresh_site();
-        site.ingest_stream(reqs, 4);
-        assert_eq!(site.store().index_shards(), 4);
-        // Index answers match a sequentially built store.
-        let mut sequential = fresh_site();
-        sequential.ingest_all(requests(60));
-        for cookie in 0..7 {
-            let a: Vec<u64> = sequential
-                .store()
-                .with_cookie(cookie)
-                .map(|r| r.id)
-                .collect();
-            let b: Vec<u64> = site.store().with_cookie(cookie).map(|r| r.id).collect();
-            assert_eq!(a, b);
-        }
     }
 }

@@ -6,23 +6,22 @@
 //! of **epoch segments**: records append into the active segment,
 //! [`RequestStore::seal_epoch`] closes it (one seal per arena round, or
 //! per N requests in single-shot mode) and applies the store's
-//! [`RetentionPolicy`] to the sealed history. Everything about a segment —
-//! its records *and* its sharded `by_cookie`/`by_ip` index maps — lives
-//! together, so eviction drops a segment wholesale: no tombstones, no
-//! index rebuilds, no cross-segment bookkeeping. Queries
-//! ([`RequestStore::with_cookie`], [`RequestStore::with_ip`],
-//! [`RequestStore::get`]) walk segments in order and answer over whatever
-//! is resident.
+//! [`RetentionPolicy`] to the sealed history. A segment is its epoch, its
+//! identity and its records, so eviction drops a segment wholesale: no
+//! tombstones, no cross-segment bookkeeping. A never-sealed store is
+//! exactly the pre-refactor single-segment store.
 //!
-//! Index maps are sharded by [`fp_types::shard_for`] within each segment
-//! (the serving layer's store gets one shard per ingest shard); a
-//! never-sealed store is exactly the pre-refactor single-segment store.
+//! The store keeps records, not indexes. Every detector keeps its own
+//! anchor state, so the only per-device query of the dataset is Figure
+//! 10's: [`RequestStore::top_cookie`] and [`RequestStore::with_cookie`]
+//! scan the resident records in arrival order. [`RequestStore::get`]
+//! binary-searches the segments by id.
 
 pub use fp_types::stored::StoredRequest;
 
 use fp_obs::{Counter, Gauge, MetricsRegistry};
 use fp_types::retention::{Epoch, RecordView, RetentionPolicy, SegmentId, SegmentStats};
-use fp_types::{shard_for, CookieId, RequestId};
+use fp_types::{CookieId, RequestId};
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::sync::Arc;
@@ -55,49 +54,27 @@ impl StoreMetrics {
     }
 }
 
-/// One epoch's worth of records plus the sharded indexes that answer
-/// queries over them. Positions in the index maps are segment-local.
+/// One epoch's worth of records, in arrival order.
 struct Segment {
     epoch: Epoch,
     /// The contents' identity: `None` while the segment is active (it
     /// still grows), drawn at seal and redrawn at every decay edit.
     id: Option<SegmentId>,
     records: Vec<StoredRequest>,
-    by_cookie: Vec<HashMap<CookieId, Vec<usize>>>,
-    by_ip: Vec<HashMap<u64, Vec<usize>>>,
 }
 
 impl Segment {
-    fn new(epoch: Epoch, shards: usize) -> Segment {
+    fn new(epoch: Epoch) -> Segment {
         Segment {
             epoch,
             id: None,
             records: Vec::new(),
-            by_cookie: (0..shards).map(|_| HashMap::new()).collect(),
-            by_ip: (0..shards).map(|_| HashMap::new()).collect(),
         }
     }
 
-    fn push(&mut self, record: StoredRequest, shards: usize, indexing: bool) {
-        if indexing {
-            let pos = self.records.len();
-            self.by_cookie[shard_for(record.cookie, shards)]
-                .entry(record.cookie)
-                .or_default()
-                .push(pos);
-            self.by_ip[shard_for(record.ip_hash, shards)]
-                .entry(record.ip_hash)
-                .or_default()
-                .push(pos);
-        }
-        self.records.push(record);
-    }
-
-    /// Retain only the records whose arrival index is marked, then
-    /// rebuild this segment's (local) indexes. Used by within-segment
-    /// decay — whole-segment eviction never rebuilds anything. The
-    /// edited segment gets a fresh identity.
-    fn retain_marked(&mut self, keep: &[bool], shards: usize, indexing: bool) {
+    /// Retain only the records whose arrival index is marked. Used by
+    /// within-segment decay. The edited segment gets a fresh identity.
+    fn retain_marked(&mut self, keep: &[bool]) {
         self.id = Some(SegmentId::fresh());
         let mut idx = 0;
         self.records.retain(|_| {
@@ -105,23 +82,6 @@ impl Segment {
             idx += 1;
             kept
         });
-        if !indexing {
-            return;
-        }
-        for map in self.by_cookie.iter_mut().chain(self.by_ip.iter_mut()) {
-            map.clear();
-        }
-        for pos in 0..self.records.len() {
-            let (cookie, ip_hash) = (self.records[pos].cookie, self.records[pos].ip_hash);
-            self.by_cookie[shard_for(cookie, shards)]
-                .entry(cookie)
-                .or_default()
-                .push(pos);
-            self.by_ip[shard_for(ip_hash, shards)]
-                .entry(ip_hash)
-                .or_default()
-                .push(pos);
-        }
     }
 
     /// Record ids are assigned at push time and segments are arrival
@@ -135,12 +95,10 @@ impl Segment {
     }
 }
 
-/// The campaign dataset with the indexes analysis needs, segmented by
-/// epoch with pluggable retention (default [`RetentionPolicy::KeepAll`] —
-/// the exact pre-refactor ever-growing behaviour).
+/// The campaign dataset, segmented by epoch with pluggable retention
+/// (default [`RetentionPolicy::KeepAll`] — the exact pre-refactor
+/// ever-growing behaviour).
 pub struct RequestStore {
-    /// Index shard count (both indexes use the same partition function).
-    shards: usize,
     policy: RetentionPolicy,
     /// Sealed segments in epoch order (gaps where retention evicted).
     sealed: Vec<Segment>,
@@ -151,10 +109,6 @@ pub struct RequestStore {
     next_id: RequestId,
     /// Cumulative seal/eviction ledger.
     stats: SegmentStats,
-    /// Maintain the per-segment cookie/address indexes? Sequential-scan
-    /// consumers (the defense stack's training window) opt out and skip
-    /// the per-record hash inserts entirely.
-    indexing: bool,
     /// The reference epoch retention was last applied for — lets a seal
     /// skip the pass [`RequestStore::evict_ahead`] already paid.
     retained_through: Option<Epoch>,
@@ -169,28 +123,20 @@ impl Default for RequestStore {
 }
 
 impl RequestStore {
-    /// Empty store with a single index shard.
+    /// Empty store.
     pub fn new() -> RequestStore {
-        RequestStore::with_shards(1)
-    }
-
-    /// Empty store whose indexes are partitioned across `shards` maps.
-    pub fn with_shards(shards: usize) -> RequestStore {
-        let shards = shards.max(1);
         RequestStore {
-            shards,
             policy: RetentionPolicy::KeepAll,
             sealed: Vec::new(),
-            active: Segment::new(Epoch(0), shards),
+            active: Segment::new(Epoch(0)),
             next_id: 0,
             stats: SegmentStats::default(),
-            indexing: true,
             retained_through: None,
             metrics: None,
         }
     }
 
-    /// Empty single-shard store under `policy` (applied at every
+    /// Empty store under `policy` (applied at every
     /// [`RequestStore::seal_epoch`]).
     pub fn with_retention(policy: RetentionPolicy) -> RequestStore {
         let mut store = RequestStore::new();
@@ -211,11 +157,6 @@ impl RequestStore {
         });
     }
 
-    /// Number of index shards.
-    pub fn index_shards(&self) -> usize {
-        self.shards
-    }
-
     /// The retention policy applied at each seal.
     pub fn retention(&self) -> RetentionPolicy {
         self.policy
@@ -226,18 +167,6 @@ impl RequestStore {
     pub fn set_retention(&mut self, policy: RetentionPolicy) {
         self.policy = policy;
         self.retained_through = None;
-    }
-
-    /// Stop maintaining the cookie/address indexes (must be called on an
-    /// empty store). For sequential-scan consumers — the defense stack's
-    /// training window reads records only through arrival-ordered views,
-    /// so paying two hash inserts per retained record buys nothing.
-    /// Point queries ([`RequestStore::with_cookie`],
-    /// [`RequestStore::with_ip`], cookie aggregates) panic afterwards
-    /// rather than silently answering empty.
-    pub fn disable_indexing(&mut self) {
-        assert!(self.is_empty(), "disable indexing before ingesting");
-        self.indexing = false;
     }
 
     /// The epoch currently receiving records.
@@ -257,13 +186,13 @@ impl RequestStore {
         let id = self.next_id;
         self.next_id += 1;
         record.id = id;
-        self.active.push(record, self.shards, self.indexing);
+        self.active.records.push(record);
         id
     }
 
     /// Close the active epoch and apply the retention policy to the
     /// sealed history: whole segments older than a sliding window are
-    /// dropped wholesale (indexes and all), decaying segments are
+    /// dropped wholesale, decaying segments are
     /// deterministically subsampled. Returns this seal's eviction report;
     /// the cumulative ledger is available via [`RequestStore::stats`].
     ///
@@ -271,7 +200,7 @@ impl RequestStore {
     /// ages the history like any other) but stores no segment.
     pub fn seal_epoch(&mut self) -> SegmentStats {
         let next = self.active.epoch.next();
-        let mut finished = std::mem::replace(&mut self.active, Segment::new(next, self.shards));
+        let mut finished = std::mem::replace(&mut self.active, Segment::new(next));
         let sealed_epoch = finished.epoch;
         if !finished.records.is_empty() {
             finished.id = Some(SegmentId::fresh());
@@ -333,7 +262,6 @@ impl RequestStore {
     /// `reference` (the just-sealed epoch at seal time; the active epoch
     /// for ahead-of-seal eviction). Returns `(records, segments)` evicted.
     fn apply_retention(&mut self, reference: Epoch) -> (u64, u64) {
-        let indexing = self.indexing;
         let mut records_evicted = 0u64;
         let mut segments_evicted = 0u64;
         match self.policy {
@@ -377,7 +305,7 @@ impl RequestStore {
                     let kept = keep.iter().filter(|k| **k).count();
                     if kept < segment.records.len() {
                         records_evicted += (segment.records.len() - kept) as u64;
-                        segment.retain_marked(&keep, self.shards, indexing);
+                        segment.retain_marked(&keep);
                     }
                 }
                 // Segments decayed to nothing (floor 0) drop wholesale.
@@ -442,57 +370,19 @@ impl RequestStore {
         self.segments().find_map(|s| s.get(id))
     }
 
-    /// Resident records sharing a cookie, in ingest order.
+    /// Resident records sharing a cookie, in ingest order (a scan).
     pub fn with_cookie(&self, cookie: CookieId) -> impl Iterator<Item = &StoredRequest> {
-        assert!(self.indexing, "point queries need an indexed store");
-        self.segments().flat_map(move |s| {
-            s.by_cookie[shard_for(cookie, self.shards)]
-                .get(&cookie)
-                .into_iter()
-                .flatten()
-                .map(move |&pos| &s.records[pos])
-        })
+        self.iter().filter(move |r| r.cookie == cookie)
     }
 
-    /// Resident records sharing an address hash, in ingest order.
-    pub fn with_ip(&self, ip_hash: u64) -> impl Iterator<Item = &StoredRequest> {
-        assert!(self.indexing, "point queries need an indexed store");
-        self.segments().flat_map(move |s| {
-            s.by_ip[shard_for(ip_hash, self.shards)]
-                .get(&ip_hash)
-                .into_iter()
-                .flatten()
-                .map(move |&pos| &s.records[pos])
-        })
-    }
-
-    /// Distinct cookies observed among resident records.
-    pub fn cookie_count(&self) -> usize {
-        assert!(self.indexing, "cookie aggregates need an indexed store");
-        if self.sealed.is_empty() {
-            return self.active.by_cookie.iter().map(HashMap::len).sum();
-        }
-        let mut seen = std::collections::HashSet::new();
-        for segment in self.segments() {
-            for map in &segment.by_cookie {
-                seen.extend(map.keys().copied());
-            }
-        }
-        seen.len()
-    }
-
-    /// The resident cookie with the most requests (Figure 10's device).
+    /// The resident cookie with the most requests (Figure 10's device); a
+    /// tie in request count goes to the larger cookie id. A scan.
     pub fn top_cookie(&self) -> Option<(CookieId, usize)> {
-        assert!(self.indexing, "cookie aggregates need an indexed store");
         let mut counts: HashMap<CookieId, usize> = HashMap::new();
-        for segment in self.segments() {
-            for map in &segment.by_cookie {
-                for (cookie, positions) in map {
-                    *counts.entry(*cookie).or_default() += positions.len();
-                }
-            }
+        for r in self.iter() {
+            *counts.entry(r.cookie).or_default() += 1;
         }
-        counts.into_iter().max_by_key(|(c, n)| (*n, *c))
+        counts.into_iter().max_by_key(|&(c, n)| (n, c))
     }
 
     /// Serialise resident records as JSON lines.
@@ -562,7 +452,7 @@ mod tests {
     }
 
     #[test]
-    fn cookie_and_ip_indexes() {
+    fn cookie_queries() {
         let mut store = RequestStore::new();
         store.push(record(5, 100));
         store.push(record(5, 101));
@@ -570,32 +460,35 @@ mod tests {
         assert_eq!(store.with_cookie(5).count(), 2);
         assert_eq!(store.with_cookie(6).count(), 1);
         assert_eq!(store.with_cookie(7).count(), 0);
-        assert_eq!(store.with_ip(100).count(), 2);
-        assert_eq!(store.cookie_count(), 2);
         assert_eq!(store.top_cookie().unwrap().0, 5);
     }
 
     #[test]
-    fn sharded_indexes_answer_identically() {
-        let mut single = RequestStore::new();
-        let mut sharded = RequestStore::with_shards(8);
-        for i in 0..64u64 {
-            single.push(record(i % 7, i % 5));
-            sharded.push(record(i % 7, i % 5));
+    fn top_cookie_breaks_ties_to_the_larger_id_and_counts_only_resident_records() {
+        assert_eq!(RequestStore::new().top_cookie(), None, "empty store");
+        // A tie in request count goes to the larger cookie, whichever
+        // arrived first.
+        for cookies in [[3, 9, 3, 9], [9, 3, 9, 3]] {
+            let mut store = RequestStore::new();
+            for cookie in cookies {
+                store.push(record(cookie, 1));
+            }
+            assert_eq!(store.top_cookie(), Some((9, 2)), "{cookies:?}");
         }
-        assert_eq!(sharded.index_shards(), 8);
-        for cookie in 0..9 {
-            let a: Vec<u64> = single.with_cookie(cookie).map(|r| r.id).collect();
-            let b: Vec<u64> = sharded.with_cookie(cookie).map(|r| r.id).collect();
-            assert_eq!(a, b, "cookie {cookie}");
+        // Evicted epochs no longer count: cookie 1's five requests age
+        // out of a one-epoch window, leaving cookie 2's three.
+        let mut store = RequestStore::with_retention(RetentionPolicy::SlidingWindow { epochs: 1 });
+        for _ in 0..5 {
+            store.push(record(1, 1));
         }
-        for ip in 0..6 {
-            let a: Vec<u64> = single.with_ip(ip).map(|r| r.id).collect();
-            let b: Vec<u64> = sharded.with_ip(ip).map(|r| r.id).collect();
-            assert_eq!(a, b, "ip {ip}");
+        store.seal_epoch();
+        assert_eq!(store.top_cookie(), Some((1, 5)));
+        for _ in 0..3 {
+            store.push(record(2, 2));
         }
-        assert_eq!(single.cookie_count(), sharded.cookie_count());
-        assert_eq!(single.top_cookie(), sharded.top_cookie());
+        store.seal_epoch();
+        assert_eq!(store.top_cookie(), Some((2, 3)));
+        assert_eq!(store.with_cookie(1).count(), 0);
     }
 
     #[test]
@@ -686,12 +579,6 @@ mod tests {
             let y: Vec<u64> = sealed.with_cookie(cookie).map(|r| r.id).collect();
             assert_eq!(x, y, "cookie {cookie}");
         }
-        for ip in 0..5 {
-            let x: Vec<u64> = flat.with_ip(ip).map(|r| r.id).collect();
-            let y: Vec<u64> = sealed.with_ip(ip).map(|r| r.id).collect();
-            assert_eq!(x, y, "ip {ip}");
-        }
-        assert_eq!(flat.cookie_count(), sealed.cookie_count());
         assert_eq!(flat.top_cookie(), sealed.top_cookie());
         assert_eq!(sealed.get(17).unwrap().id, 17);
     }
@@ -725,7 +612,7 @@ mod tests {
     }
 
     #[test]
-    fn sliding_window_drops_indexes_with_their_segment() {
+    fn sliding_window_cookie_queries_see_only_the_resident_epoch() {
         let mut store = RequestStore::with_retention(RetentionPolicy::SlidingWindow { epochs: 1 });
         // Same cookie in every epoch: only the resident epoch's entries
         // may answer.
@@ -735,9 +622,7 @@ mod tests {
             }
             store.seal_epoch();
             assert_eq!(store.with_cookie(42).count(), 4, "round {round}");
-            assert_eq!(store.with_ip(7).count(), 4);
         }
-        assert_eq!(store.cookie_count(), 1);
         assert_eq!(store.top_cookie(), Some((42, 4)));
     }
 
@@ -779,11 +664,10 @@ mod tests {
         let a: Vec<u64> = store.iter().map(|r| r.id).collect();
         let b: Vec<u64> = twin.iter().map(|r| r.id).collect();
         assert_eq!(a, b);
-        // Indexes were rebuilt consistently: every resident record is
-        // reachable through its cookie.
-        for r in store.iter() {
-            assert!(store.with_cookie(r.cookie).any(|x| x.id == r.id));
-        }
+        // Thinned segments stay id-ordered: every resident id answers
+        // `get`, and the view holds exactly the resident records.
+        assert!(store.iter().all(|r| store.get(r.id).is_some()));
+        assert_eq!(store.records().len(), store.len());
     }
 
     #[test]
@@ -823,52 +707,6 @@ mod tests {
         assert!(store.is_empty());
         assert_eq!(store.records().len(), 0);
         assert_eq!(store.current_epoch(), fp_types::Epoch(3));
-    }
-
-    #[test]
-    fn unindexed_stores_scan_but_refuse_point_queries() {
-        let mut store = RequestStore::with_retention(RetentionPolicy::SampledDecay {
-            keep_rate: 0.5,
-            floor: 2,
-        });
-        store.disable_indexing();
-        for round in 0..3u64 {
-            seal_round(&mut store, 16, round);
-        }
-        // Sequential views, ids and the ledger all work without indexes —
-        // decay included (it skips the index rebuild).
-        assert!(store.len() < 48, "decay still thins old epochs");
-        assert_eq!(store.records().len(), store.len());
-        assert!(store.iter().all(|r| store.get(r.id).is_some()));
-        assert!(store.stats().records_evicted > 0);
-        // And an unindexed twin decays identically to an indexed one.
-        let mut indexed = RequestStore::with_retention(RetentionPolicy::SampledDecay {
-            keep_rate: 0.5,
-            floor: 2,
-        });
-        for round in 0..3u64 {
-            seal_round(&mut indexed, 16, round);
-        }
-        let a: Vec<u64> = store.iter().map(|r| r.id).collect();
-        let b: Vec<u64> = indexed.iter().map(|r| r.id).collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "point queries need an indexed store")]
-    fn unindexed_stores_panic_on_cookie_lookup() {
-        let mut store = RequestStore::new();
-        store.disable_indexing();
-        store.push(record(1, 1));
-        let _ = store.with_cookie(1).count();
-    }
-
-    #[test]
-    #[should_panic(expected = "disable indexing before ingesting")]
-    fn indexing_cannot_be_disabled_after_ingest() {
-        let mut store = RequestStore::new();
-        store.push(record(1, 1));
-        store.disable_indexing();
     }
 
     #[test]

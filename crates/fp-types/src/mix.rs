@@ -35,9 +35,9 @@ pub fn unit_f64(x: u64) -> f64 {
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// The shard owning a state key (cookie or IP hash). One definition shared
-/// by the store's sharded indexes and the ingest pipeline so they always
-/// agree; mixes first because test fixtures use small sequential keys.
+/// The shard owning a state key (cookie or IP hash): the serving layer's
+/// routing key. Mixes first because test fixtures use small sequential
+/// keys.
 #[inline]
 pub fn shard_for(key: u64, shards: usize) -> usize {
     if shards <= 1 {

@@ -15,8 +15,7 @@
 //!   appends into the *active* epoch; sealing closes it (one seal per
 //!   arena round, or per N requests in single-shot mode) and starts the
 //!   next. Segments are immutable once sealed, so retention is a
-//!   wholesale decision per segment — no tombstones, no index rebuilds
-//!   on eviction.
+//!   wholesale decision per segment — no tombstones on eviction.
 //! * [`RetentionPolicy`] — what happens to sealed segments as new epochs
 //!   arrive: [`RetentionPolicy::KeepAll`] (the exact pre-refactor
 //!   behaviour, and the default), [`RetentionPolicy::SlidingWindow`]
@@ -82,9 +81,9 @@ pub enum RetentionPolicy {
     #[default]
     KeepAll,
     /// Keep only the most recent `epochs` sealed segments; older segments
-    /// are dropped wholesale (their per-segment indexes go with them — no
-    /// tombstones). Peak resident records are bounded by `epochs` worth
-    /// of traffic plus the active segment. `epochs` is clamped to ≥ 1.
+    /// are dropped wholesale (no tombstones). Peak resident records are
+    /// bounded by `epochs` worth of traffic plus the active segment.
+    /// `epochs` is clamped to ≥ 1.
     SlidingWindow {
         /// How many sealed epochs stay resident.
         epochs: u32,
