@@ -12,20 +12,36 @@
 //! * [`IpAnchor`] — the **IP address** (as its stored hash): the set of
 //!   browser timezones seen from one address should not keep growing.
 //!
+//! Both rules are first-value checks, so each anchor's entry is a
+//! fixed-size value: one cookie holds the first value of each tracked
+//! attribute and a burned bit, one address its first timezone offset.
+//! Sets appear only where the rule must remember more than one value: a
+//! cookie's later values in the paper-literal mode
+//! (`burned_cookie_persists: false`), allocated on its first flag, and an
+//! address's later offsets, allocated when a second offset arrives. A new
+//! cookie or address allocates nothing beyond its map slot — the paper's
+//! bots clear cookies, so most requests mint one.
+//!
 //! [`TemporalEngine`] combines both for the batch path; the
 //!   [`Detector`](fp_types::Detector) adapters live in [`crate::engine`].
 
 use fp_honeysite::{RequestStore, StoredRequest};
 use fp_types::{AttrId, AttrValue, CookieId};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
-/// Immutable attributes tracked per cookie (from
-/// [`AttrId::immutable_for_device`]).
-fn tracked_attrs() -> Vec<AttrId> {
-    AttrId::iter()
-        .filter(|a| a.immutable_for_device())
-        .collect()
-}
+/// Immutable attributes tracked per cookie: the attributes
+/// [`AttrId::immutable_for_device`] names, in declaration order.
+const TRACKED_ATTRS: [AttrId; 8] = [
+    AttrId::Platform,
+    AttrId::HardwareConcurrency,
+    AttrId::DeviceMemory,
+    AttrId::ScreenResolution,
+    AttrId::ColorDepth,
+    AttrId::MaxTouchPoints,
+    AttrId::WebGlVendor,
+    AttrId::WebGlRenderer,
+];
 
 /// Configuration for the temporal engine.
 #[derive(Clone, Copy, Debug)]
@@ -52,13 +68,38 @@ impl Default for TemporalConfig {
     }
 }
 
-/// The cookie-anchored state machine: per-cookie immutable-attribute sets.
-/// All state is keyed by the request's cookie.
+/// One cookie's state.
+struct CookieState {
+    /// The first value seen for each of [`TRACKED_ATTRS`] (`Missing` until
+    /// one arrives).
+    first: [AttrValue; TRACKED_ATTRS.len()],
+    /// The cookie has flagged and `burned_cookie_persists` holds: every
+    /// later request flags without reading a value.
+    burned: bool,
+    /// Paper-literal mode only: the later distinct values, as
+    /// `(slot in TRACKED_ATTRS, value)`. Empty, so unallocated, until the
+    /// cookie's first flag; the default mode never fills it, since a burned
+    /// cookie flags whatever it reports.
+    later: HashSet<(u8, AttrValue)>,
+}
+
+impl CookieState {
+    fn new() -> CookieState {
+        CookieState {
+            first: [AttrValue::Missing; TRACKED_ATTRS.len()],
+            burned: false,
+            later: HashSet::new(),
+        }
+    }
+}
+
+/// The cookie-anchored state machine. All state is keyed by the request's
+/// cookie: per cookie, the first value of each immutable attribute and a
+/// burned bit (plus, in the paper-literal mode, the later distinct values
+/// once the cookie has flagged).
 pub struct CookieAnchor {
     config: TemporalConfig,
-    attrs: Vec<AttrId>,
-    per_cookie: HashMap<CookieId, Vec<HashSet<AttrValue>>>,
-    burned: HashSet<CookieId>,
+    per_cookie: HashMap<CookieId, CookieState>,
 }
 
 impl CookieAnchor {
@@ -66,36 +107,38 @@ impl CookieAnchor {
     pub fn new(config: TemporalConfig) -> CookieAnchor {
         CookieAnchor {
             config,
-            attrs: tracked_attrs(),
             per_cookie: HashMap::new(),
-            burned: HashSet::new(),
         }
     }
 
     /// Observe one request (in arrival order for its cookie) and report
     /// whether the cookie anchor flags it.
     pub fn observe(&mut self, request: &StoredRequest) -> bool {
-        let mut flagged = false;
-        let sets = self
+        let state = self
             .per_cookie
             .entry(request.cookie)
-            .or_insert_with(|| vec![HashSet::new(); self.attrs.len()]);
-        for (attr, seen) in self.attrs.iter().zip(sets.iter_mut()) {
+            .or_insert_with(CookieState::new);
+        if state.burned {
+            return true;
+        }
+        let mut flagged = false;
+        for (slot, attr) in TRACKED_ATTRS.iter().enumerate() {
             let value = *request.fingerprint.get(*attr);
             if value.is_missing() {
                 continue;
             }
-            if seen.is_empty() {
-                seen.insert(value);
-            } else if !seen.contains(&value) {
-                seen.insert(value);
-                flagged = true;
+            let first = &mut state.first[slot];
+            if first.is_missing() {
+                *first = value;
+            } else if *first != value {
+                if self.config.burned_cookie_persists {
+                    // A second distinct value burns the cookie; no later
+                    // request reads its values again.
+                    state.burned = true;
+                    return true;
+                }
+                flagged |= state.later.insert((slot as u8, value));
             }
-        }
-        if flagged {
-            self.burned.insert(request.cookie);
-        } else if self.config.burned_cookie_persists && self.burned.contains(&request.cookie) {
-            flagged = true;
         }
         flagged
     }
@@ -103,15 +146,25 @@ impl CookieAnchor {
     /// Drop all state.
     pub fn reset(&mut self) {
         self.per_cookie.clear();
-        self.burned.clear();
     }
 }
 
-/// The IP-anchored state machine: per-address timezone-offset sets. All
-/// state is keyed by the request's address hash.
+/// One address's timezone offsets.
+struct IpState {
+    /// The first offset reported from the address.
+    first: i64,
+    /// The later distinct offsets (never `first`): empty, so unallocated,
+    /// until a second offset arrives.
+    later: HashSet<i64>,
+}
+
+/// The IP-anchored state machine: per-address timezone offsets, the first
+/// inline and the later distinct ones in a set that allocates only once an
+/// address has reported a second offset. All state is keyed by the
+/// request's address hash.
 pub struct IpAnchor {
     max_offsets_per_ip: usize,
-    per_ip_offsets: HashMap<u64, HashSet<i32>>,
+    per_ip: HashMap<u64, IpState>,
 }
 
 impl IpAnchor {
@@ -119,31 +172,37 @@ impl IpAnchor {
     pub fn new(config: TemporalConfig) -> IpAnchor {
         IpAnchor {
             max_offsets_per_ip: config.max_offsets_per_ip,
-            per_ip_offsets: HashMap::new(),
+            per_ip: HashMap::new(),
         }
     }
 
     /// Observe one request (in arrival order for its address) and report
-    /// whether the IP anchor flags it.
+    /// whether the IP anchor flags it: a new offset flags once the address
+    /// already has `max_offsets_per_ip` distinct offsets.
     pub fn observe(&mut self, request: &StoredRequest) -> bool {
         let Some(offset) = request.fingerprint.get(AttrId::TimezoneOffset).as_int() else {
             return false;
         };
-        let offsets = self.per_ip_offsets.entry(request.ip_hash).or_default();
-        let offset = offset as i32;
-        let mut flagged = false;
-        if !offsets.contains(&offset) {
-            if offsets.len() >= self.max_offsets_per_ip {
-                flagged = true;
+        let state = match self.per_ip.entry(request.ip_hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(IpState {
+                    first: offset,
+                    later: HashSet::new(),
+                });
+                return self.max_offsets_per_ip == 0;
             }
-            offsets.insert(offset);
+            Entry::Occupied(slot) => slot.into_mut(),
+        };
+        if state.first == offset {
+            return false;
         }
-        flagged
+        let known = 1 + state.later.len();
+        state.later.insert(offset) && known >= self.max_offsets_per_ip
     }
 
     /// Drop all state.
     pub fn reset(&mut self) {
-        self.per_ip_offsets.clear();
+        self.per_ip.clear();
     }
 }
 
@@ -262,6 +321,55 @@ mod tests {
         assert!(engine.observe(&request(3, 99, 4, 0)));
         // Already-seen offset on that IP: fine.
         assert!(!engine.observe(&request(4, 99, 4, 480)));
+    }
+
+    #[test]
+    fn tracked_attrs_are_the_immutable_device_attributes() {
+        let immutable: Vec<AttrId> = AttrId::iter()
+            .filter(|a| a.immutable_for_device())
+            .collect();
+        assert_eq!(TRACKED_ATTRS.to_vec(), immutable);
+    }
+
+    #[test]
+    fn offsets_that_agree_only_in_their_low_32_bits_are_distinct() {
+        // A client reports any i64; 480 and 480 + 2^32 are two offsets.
+        let mut ip = IpAnchor::new(TemporalConfig::default());
+        assert!(!ip.observe(&request(1, 99, 4, 480)));
+        assert!(ip.observe(&request(2, 99, 4, 480 + (1i64 << 32))));
+    }
+
+    #[test]
+    fn an_address_with_one_offset_allocates_no_set() {
+        let mut ip = IpAnchor::new(TemporalConfig::default());
+        for cookie in 0..5 {
+            assert!(!ip.observe(&request(cookie, 99, 4, 480)));
+        }
+        assert_eq!(ip.per_ip[&99].later.capacity(), 0);
+        assert!(ip.observe(&request(9, 99, 4, -60)));
+        assert_eq!(ip.per_ip[&99].later.len(), 1);
+    }
+
+    #[test]
+    fn only_the_literal_mode_keeps_later_cookie_values() {
+        let stream = [
+            request(1, 10, 4, 480),
+            request(1, 10, 6, 480),
+            request(1, 10, 8, 480),
+        ];
+        let mut persists = CookieAnchor::new(TemporalConfig::default());
+        let mut literal = CookieAnchor::new(TemporalConfig {
+            burned_cookie_persists: false,
+            ..TemporalConfig::default()
+        });
+        for r in &stream {
+            persists.observe(r);
+            literal.observe(r);
+        }
+        assert!(persists.per_cookie[&1].burned);
+        assert_eq!(persists.per_cookie[&1].later.capacity(), 0);
+        assert!(!literal.per_cookie[&1].burned);
+        assert_eq!(literal.per_cookie[&1].later.len(), 2);
     }
 
     #[test]

@@ -33,13 +33,36 @@ pub const MAX_PLAUSIBLE_SCREEN_FRAME: i64 = 100;
 const CHURN_MIN_REQUESTS: u32 = 10;
 const CHURN_DISTINCT_FRACTION: f64 = 0.5;
 
+/// Most distinct fingerprint digests recorded per address.
+const MAX_DIGESTS: usize = 4096;
+
+/// One address's churn window: how many requests it sent and which
+/// distinct fingerprint digests they carried. The first digest is kept
+/// inline and only the later distinct ones go into a set, so an address
+/// that keeps one fingerprint (or is seen once) allocates nothing.
 #[derive(Default)]
 struct IpHistory {
     requests: u32,
+    /// The first recorded digest.
+    first: Option<u64>,
+    /// The later distinct digests (never `first`).
     digests: HashSet<u64>,
     /// Once the churn detector fires, the address stays flagged — Appendix G:
     /// DataDome "starts detecting all requests from Brave as bots".
     flagged: bool,
+}
+
+impl IpHistory {
+    /// Distinct digests recorded so far.
+    fn distinct(&self) -> usize {
+        usize::from(self.first.is_some()) + self.digests.len()
+    }
+
+    fn record(&mut self, digest: u64) {
+        if *self.first.get_or_insert(digest) != digest {
+            self.digests.insert(digest);
+        }
+    }
 }
 
 /// DataDome simulator (stateful: per-IP history, keyed by the address's
@@ -144,15 +167,15 @@ impl DataDome {
             return Verdict::Bot;
         }
         if hist.requests >= CHURN_MIN_REQUESTS
-            && (hist.digests.len() as f64) / f64::from(hist.requests) > CHURN_DISTINCT_FRACTION
+            && (hist.distinct() as f64) / f64::from(hist.requests) > CHURN_DISTINCT_FRACTION
         {
             hist.flagged = true;
             hist.digests = HashSet::new();
             return Verdict::Bot;
         }
         hist.requests += 1;
-        if hist.digests.len() < 4096 {
-            hist.digests.insert(fp.digest());
+        if hist.distinct() < MAX_DIGESTS {
+            hist.record(fp.digest());
         }
 
         if Self::hard_fingerprint_signals(fp) {
@@ -410,6 +433,84 @@ mod tests {
             );
         }
         assert!(dd.history[&key].digests.is_empty());
+    }
+
+    /// The churn window with every distinct digest in one set, the first
+    /// included: the reference the inline first digest must decide like.
+    #[derive(Default)]
+    struct SetWindow {
+        requests: u32,
+        digests: HashSet<u64>,
+        flagged: bool,
+    }
+
+    impl SetWindow {
+        /// Does the churn check answer `Bot` for a request carrying `digest`?
+        fn churns(&mut self, digest: u64) -> bool {
+            if self.flagged {
+                return true;
+            }
+            if self.requests >= CHURN_MIN_REQUESTS
+                && (self.digests.len() as f64) / f64::from(self.requests) > CHURN_DISTINCT_FRACTION
+            {
+                self.flagged = true;
+                return true;
+            }
+            self.requests += 1;
+            if self.digests.len() < MAX_DIGESTS {
+                self.digests.insert(digest);
+            }
+            false
+        }
+    }
+
+    #[test]
+    fn the_inline_first_digest_latches_like_a_set_of_every_digest() {
+        // Each address cycles through `k` fingerprints, the first among
+        // them: 2 never latches, 5 sits exactly on the 0.5 bound at request
+        // 10 and never latches, 6 latches on request 10.
+        let addresses = [
+            (Ipv4Addr::new(73, 5, 5, 1), 2u32),
+            (Ipv4Addr::new(73, 5, 5, 2), 5),
+            (Ipv4Addr::new(73, 5, 5, 3), 6),
+        ];
+        let base = consistent(DeviceKind::Mac, BrowserFamily::Chrome);
+        let mut dd = DataDome::new();
+        let mut windows: Vec<SetWindow> = addresses.iter().map(|_| SetWindow::default()).collect();
+        let mut latched = [None; 3];
+        let mut expected_latch = [None; 3];
+        for i in 0..40u32 {
+            for (a, &(ip, k)) in addresses.iter().enumerate() {
+                let fp = base
+                    .clone()
+                    .with(AttrId::HardwareConcurrency, i64::from(2 + i % k));
+                let req = request(fp.clone(), human_mouse(), ip);
+                let expected = if windows[a].churns(fp.digest()) {
+                    Verdict::Bot
+                } else {
+                    DataDome::new().decide(&req)
+                };
+                assert_eq!(dd.decide(&req), expected, "address {a}, request {i}");
+                if expected_latch[a].is_none() && windows[a].flagged {
+                    expected_latch[a] = Some(i);
+                }
+                if latched[a].is_none() && dd.history[&NetDb::hash_ip(ip)].flagged {
+                    latched[a] = Some(i);
+                }
+            }
+        }
+        assert_eq!(latched, expected_latch);
+        assert_eq!(latched, [None, None, Some(10)]);
+
+        let once = Ipv4Addr::new(73, 5, 5, 4);
+        let _ = dd.decide(&request(base, human_mouse(), once));
+        let hist = &dd.history[&NetDb::hash_ip(once)];
+        assert!(hist.first.is_some());
+        assert_eq!(
+            hist.digests.capacity(),
+            0,
+            "an address seen once allocates nothing"
+        );
     }
 
     #[test]

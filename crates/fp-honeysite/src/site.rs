@@ -15,13 +15,13 @@ use crate::store::{RequestStore, StoredRequest};
 use fp_antibot::{BotD, DataDome};
 use fp_behavior::BehaviorDetector;
 use fp_netsim::blocklist::{is_tor_exit, AsnBlocklist, IpBlocklist};
-use fp_netsim::NetDb;
+use fp_netsim::{NetDb, REGIONS};
 use fp_obs::{expose, Counter, Histogram, MetricsRegistry};
 use fp_tls::TlsCrossLayer;
 use fp_types::detect::Detector;
 use fp_types::{mix2, sym, CookieId, Request, RequestId, Symbol, VerdictSet};
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Registry name of the per-request admission-to-verdict latency histogram.
@@ -303,6 +303,17 @@ impl HoneySite {
     }
 }
 
+/// The `country/region` label of `REGIONS[index]`, interned on the
+/// region's first request and reused after, so enrichment formats and
+/// interns each label once per process.
+fn region_label(index: usize) -> Symbol {
+    static LABELS: [OnceLock<Symbol>; REGIONS.len()] = [const { OnceLock::new() }; REGIONS.len()];
+    *LABELS[index].get_or_init(|| {
+        let region = &REGIONS[index];
+        sym(&format!("{}/{}", region.country, region.name))
+    })
+}
+
 /// Derive the stored record from an admitted request: network facts from
 /// the raw address, then the address itself is dropped (ethics appendix).
 /// The observed TLS facet is kept verbatim and additionally materialised
@@ -312,11 +323,9 @@ impl HoneySite {
 pub(crate) fn derive_record(request: &Request, cookie: CookieId) -> StoredRequest {
     let info = NetDb::lookup(request.ip);
     let mut fingerprint = request.fingerprint.clone();
-    if request.tls.is_observed() {
-        if let (Some(ja3), Some(ja4)) = (request.tls.ja3_str(), request.tls.ja4_str()) {
-            fingerprint.set(fp_types::AttrId::Ja3, ja3);
-            fingerprint.set(fp_types::AttrId::Ja4, ja4);
-        }
+    if let (Some(ja3), Some(ja4)) = (request.tls.ja3, request.tls.ja4) {
+        fingerprint.set(fp_types::AttrId::Ja3, ja3);
+        fingerprint.set(fp_types::AttrId::Ja4, ja4);
     }
     StoredRequest {
         id: 0,
@@ -324,7 +333,7 @@ pub(crate) fn derive_record(request: &Request, cookie: CookieId) -> StoredReques
         site_token: request.site_token,
         ip_hash: NetDb::hash_ip(request.ip),
         ip_offset_minutes: info.region.offset_minutes,
-        ip_region: sym(&format!("{}/{}", info.region.country, info.region.name)),
+        ip_region: region_label(info.region_index),
         ip_lat: info.region.lat as f32,
         ip_lon: info.region.lon as f32,
         asn: info.asn.asn,

@@ -38,6 +38,8 @@ pub struct NetInfo {
     pub asn: &'static AsnRecord,
     /// Geographic region the address maps to.
     pub region: &'static Region,
+    /// `region`'s index into [`REGIONS`].
+    pub region_index: usize,
 }
 
 /// The combined ASN + geolocation database.
@@ -55,8 +57,12 @@ impl NetDb {
         // the same IP always geolocates identically.
         let regions = asn.region_indices;
         let idx = (mix2(u64::from(u32::from(ip)), 0x6E0) % regions.len() as u64) as usize;
-        let region = &REGIONS[regions[idx]];
-        NetInfo { asn, region }
+        let region_index = regions[idx];
+        NetInfo {
+            asn,
+            region: &REGIONS[region_index],
+            region_index,
+        }
     }
 
     /// Sample an address owned by `asn` (uniform over its prefixes).
@@ -100,6 +106,8 @@ mod tests {
         let b = NetDb::lookup(ip);
         assert_eq!(a.asn.asn, b.asn.asn);
         assert_eq!(a.region.name, b.region.name);
+        assert_eq!(a.region_index, b.region_index);
+        assert_eq!(&REGIONS[a.region_index], a.region);
     }
 
     #[test]

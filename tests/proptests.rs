@@ -2,10 +2,12 @@
 
 use fp_inconsistent_core::attrs::AnalysisAttr;
 use fp_inconsistent_core::spatial::{mine_records, review_order, PairCounts};
+use fp_inconsistent_core::temporal::{CookieAnchor, IpAnchor, TemporalConfig};
 use fp_inconsistent_core::{MineConfig, RulePack, RuleSet, SpatialRule};
 use fp_tls::{ClientHello, Extension};
-use fp_types::{sym, AttrId, AttrValue, Fingerprint, StoredRequest};
+use fp_types::{sym, AttrId, AttrValue, CookieId, Fingerprint, StoredRequest};
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 
 // ---------------------------------------------------------------------
 // Generators.
@@ -536,6 +538,143 @@ proptest! {
         // And the compiled pack round-trips back to an equal-hash set.
         let back = RulePack::compile(&set).to_rule_set();
         prop_assert_eq!(back.content_hash(), set.content_hash());
+    }
+}
+
+// ---------------------------------------------------------------------
+// §7.2 temporal anchors: the flat per-anchor state (first values inline,
+// sets only where the rule needs them) decides exactly as the set-based
+// state machines it replaced.
+
+/// The set-based anchors, as they were before the flat state: every
+/// distinct value of each immutable attribute per cookie plus a burned
+/// set, and every distinct timezone offset per address.
+struct SetAnchors {
+    config: TemporalConfig,
+    attrs: Vec<AttrId>,
+    per_cookie: HashMap<CookieId, Vec<HashSet<AttrValue>>>,
+    burned: HashSet<CookieId>,
+    per_ip_offsets: HashMap<u64, HashSet<i64>>,
+}
+
+impl SetAnchors {
+    fn new(config: TemporalConfig) -> SetAnchors {
+        SetAnchors {
+            config,
+            attrs: AttrId::iter()
+                .filter(|a| a.immutable_for_device())
+                .collect(),
+            per_cookie: HashMap::new(),
+            burned: HashSet::new(),
+            per_ip_offsets: HashMap::new(),
+        }
+    }
+
+    fn observe_cookie(&mut self, request: &StoredRequest) -> bool {
+        let mut flagged = false;
+        let sets = self
+            .per_cookie
+            .entry(request.cookie)
+            .or_insert_with(|| vec![HashSet::new(); self.attrs.len()]);
+        for (attr, seen) in self.attrs.iter().zip(sets.iter_mut()) {
+            let value = *request.fingerprint.get(*attr);
+            if value.is_missing() {
+                continue;
+            }
+            if seen.is_empty() {
+                seen.insert(value);
+            } else if !seen.contains(&value) {
+                seen.insert(value);
+                flagged = true;
+            }
+        }
+        if flagged {
+            self.burned.insert(request.cookie);
+        } else if self.config.burned_cookie_persists && self.burned.contains(&request.cookie) {
+            flagged = true;
+        }
+        flagged
+    }
+
+    fn observe_ip(&mut self, request: &StoredRequest) -> bool {
+        let Some(offset) = request.fingerprint.get(AttrId::TimezoneOffset).as_int() else {
+            return false;
+        };
+        let offsets = self.per_ip_offsets.entry(request.ip_hash).or_default();
+        let mut flagged = false;
+        if !offsets.contains(&offset) {
+            if offsets.len() >= self.config.max_offsets_per_ip {
+                flagged = true;
+            }
+            offsets.insert(offset);
+        }
+        flagged
+    }
+}
+
+/// One request of a temporal stream: 4 cookies, 4 addresses. Each
+/// immutable attribute is missing or one of 3 values, shared across
+/// attributes; two requests in three report their cookie's own device
+/// (values 1–2 by attribute, one attribute missing), so cookies stay
+/// consistent for a while before a drawn request burns them. The offset is
+/// missing or one of 3, one of which agrees with 480 in its low 32 bits.
+fn arb_temporal_request() -> impl Strategy<Value = StoredRequest> {
+    (
+        0u64..4,
+        0u64..4,
+        proptest::collection::vec(0i64..4, 8..9),
+        0usize..4,
+        0u8..3,
+    )
+        .prop_map(|(cookie, ip, drawn, offset, mode)| {
+            let mut r = blank_request();
+            r.cookie = cookie;
+            r.ip_hash = 0xA11CE + ip;
+            let tracked = AttrId::iter().filter(|a| a.immutable_for_device());
+            for (slot, attr) in tracked.enumerate() {
+                let choice = if mode == 0 {
+                    drawn[slot]
+                } else if slot as u64 == cookie {
+                    0
+                } else {
+                    1 + (cookie + slot as u64) as i64 % 2
+                };
+                if choice > 0 {
+                    r.fingerprint.set(attr, AttrValue::Int(choice));
+                }
+            }
+            if let Some(minutes) = [None, Some(480), Some(-60), Some(480 + (1i64 << 32))][offset] {
+                r.fingerprint.set(AttrId::TimezoneOffset, minutes);
+            }
+            r
+        })
+}
+
+proptest! {
+    #[test]
+    fn flat_temporal_anchors_decide_as_the_set_based_ones(
+        stream in proptest::collection::vec(arb_temporal_request(), 0..65),
+    ) {
+        for burned_cookie_persists in [true, false] {
+            for max_offsets_per_ip in 0..=3 {
+                let config = TemporalConfig { max_offsets_per_ip, burned_cookie_persists };
+                let mut reference = SetAnchors::new(config);
+                let mut cookie = CookieAnchor::new(config);
+                let mut ip = IpAnchor::new(config);
+                for (i, r) in stream.iter().enumerate() {
+                    prop_assert_eq!(
+                        cookie.observe(r),
+                        reference.observe_cookie(r),
+                        "cookie flag, request {} under {:?}", i, config
+                    );
+                    prop_assert_eq!(
+                        ip.observe(r),
+                        reference.observe_ip(r),
+                        "address flag, request {} under {:?}", i, config
+                    );
+                }
+            }
+        }
     }
 }
 
