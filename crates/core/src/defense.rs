@@ -95,7 +95,6 @@ pub struct SpatialMember {
     rules: RuleSet,
     pack: Arc<PackSlot>,
     churn: Arc<ChurnLedger>,
-    generalize_location: bool,
     mine_config: MineConfig,
     /// Re-mine after every `cadence`-th round; `None` freezes the round-0
     /// rules forever (the pre-redesign behaviour).
@@ -112,7 +111,6 @@ impl SpatialMember {
             rules: engine.rules().clone(),
             pack: Arc::new(PackSlot::from_arc(engine.pack())),
             churn: Arc::default(),
-            generalize_location: engine.config().generalize_location,
             mine_config: MineConfig::default(),
             cadence: None,
             summaries: Vec::new(),
@@ -134,7 +132,6 @@ impl SpatialMember {
             rules: engine.rules().clone(),
             pack: Arc::new(PackSlot::from_arc(engine.pack())),
             churn: Arc::default(),
-            generalize_location: engine.config().generalize_location,
             mine_config,
             cadence: Some(cadence.max(1)),
             summaries: Vec::new(),
@@ -225,10 +222,7 @@ impl StackMember for SpatialMember {
     }
 
     fn detector(&self) -> Box<dyn Detector> {
-        Box::new(SpatialDetector::tracking(
-            self.pack.clone(),
-            self.generalize_location,
-        ))
+        Box::new(SpatialDetector::tracking(self.pack.clone()))
     }
 
     fn wants_history(&self) -> bool {
@@ -295,7 +289,6 @@ impl StackMember for SpatialMember {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineConfig;
     use fp_types::retention::RecordView;
     use fp_types::{
         sym, AttrId, BehaviorTrace, Fingerprint, ServiceId, SimTime, StoredRequest, TrafficSource,
@@ -330,7 +323,7 @@ mod tests {
     }
 
     fn empty_engine() -> FpInconsistent {
-        FpInconsistent::from_rules(RuleSet::new(), EngineConfig::default())
+        FpInconsistent::from_rules(RuleSet::new())
     }
 
     #[test]

@@ -1,39 +1,28 @@
-//! The deployable engine: mined spatial rules + generalised location check
-//! + temporal state, evaluated per request.
+//! The deployable engine: mined spatial rules + the location check + the
+//! two temporal anchors, evaluated per request.
 //!
-//! Two ways to run it:
+//! One set of detectors runs it: [`FpInconsistent::detectors`] hands out
+//! the stateless spatial matcher ([`SpatialDetector`]) and the two §7.2
+//! anchors ([`CookieAnchor`], [`IpAnchor`]), each a
+//! [`fp_types::Detector`] ready to plug into the honey site's ingest chain
+//! next to DataDome/BotD (the §7 deployment story). The temporal analysis
+//! ships as two shard-local state machines so the sharded pipeline can
+//! route each to its own worker; their disjunction is the paper's temporal
+//! flag.
 //!
-//! * **Batch** — [`FpInconsistent::flags`] / [`FpInconsistent::stream`]:
-//!   one pass over a recorded store, yielding `(spatial, temporal)` flags.
-//! * **Streaming** — [`FpInconsistent::detectors`]: adapters implementing
-//!   the workspace-wide [`fp_types::Detector`] contract, ready to
-//!   plug into the honey site's ingest chain next to DataDome/BotD (the
-//!   §7 deployment story). The temporal analysis ships as two shard-local
-//!   state machines (cookie anchor, IP anchor) so the sharded pipeline can
-//!   route each to its own worker; their disjunction is the paper's
-//!   temporal flag.
+//! The batch path — [`FpInconsistent::flags`] / [`FpInconsistent::stream`]
+//! — runs the same spatial check and the same two anchors in one pass over
+//! a recorded store, yielding `(spatial, temporal)` flags.
 
 use crate::rulepack::{PackSlot, RulePack};
 use crate::rules::RuleSet;
 use crate::spatial::{self, MineConfig};
-use crate::temporal::{CookieAnchor, IpAnchor, TemporalConfig, TemporalEngine};
+use crate::temporal::{CookieAnchor, IpAnchor};
 use fp_honeysite::{RequestStore, StoredRequest};
 use fp_netsim::geo::offset_of_timezone;
 use fp_types::detect::{provenance, Detector, StateScope, Verdict};
 use fp_types::AttrId;
 use std::sync::Arc;
-
-/// Engine configuration.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EngineConfig {
-    /// Also flag any request whose browser timezone offset contradicts its
-    /// IP geolocation offset, beyond the concrete mined pairs. This is the
-    /// generalisation that catches Tor (§7.5) on exit/timezone
-    /// combinations never seen during mining.
-    pub generalize_location: bool,
-    /// Temporal engine settings.
-    pub temporal: TemporalConfig,
-}
 
 /// FP-Inconsistent, ready to deploy: a mined rule set plus the
 /// general checks. The interpreted rule set is kept (it is the mining
@@ -42,31 +31,20 @@ pub struct EngineConfig {
 pub struct FpInconsistent {
     rules: RuleSet,
     pack: Arc<RulePack>,
-    config: EngineConfig,
 }
 
 impl FpInconsistent {
     /// Mine rules from a recorded store (Algorithm 1) and wrap them in an
-    /// engine with default settings (location generalisation on).
+    /// engine.
     pub fn mine(store: &RequestStore, mine_config: &MineConfig) -> FpInconsistent {
-        FpInconsistent::from_rules(
-            spatial::mine(store, mine_config),
-            EngineConfig {
-                generalize_location: true,
-                ..EngineConfig::default()
-            },
-        )
+        FpInconsistent::from_rules(spatial::mine(store, mine_config))
     }
 
     /// Build from an existing rule set (e.g. parsed from a filter list).
     /// Compiles the set into the pack the hot path evaluates.
-    pub fn from_rules(rules: RuleSet, config: EngineConfig) -> FpInconsistent {
+    pub fn from_rules(rules: RuleSet) -> FpInconsistent {
         let pack = Arc::new(RulePack::compile(&rules));
-        FpInconsistent {
-            rules,
-            pack,
-            config,
-        }
+        FpInconsistent { rules, pack }
     }
 
     /// The mined rule set.
@@ -79,37 +57,23 @@ impl FpInconsistent {
         self.pack.clone()
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> EngineConfig {
-        self.config
-    }
-
     /// Spatial verdict for one request (compiled pack evaluation).
     pub fn spatial_flag(&self, request: &StoredRequest) -> bool {
-        pack_check(&self.pack, self.config.generalize_location, request)
+        pack_check(&self.pack, request)
     }
 
     /// Spatial verdict via the interpreted rule set — the reference
     /// implementation the compiled path is tested flag-for-flag against.
     pub fn spatial_flag_interpreted(&self, request: &StoredRequest) -> bool {
-        spatial_check(&self.rules, self.config.generalize_location, request)
-    }
-
-    /// Spatial flags for a whole store.
-    pub fn spatial_flags(&self, store: &RequestStore) -> Vec<bool> {
-        store.iter().map(|r| self.spatial_flag(r)).collect()
-    }
-
-    /// Temporal flags for a whole store (arrival order).
-    pub fn temporal_flags(&self, store: &RequestStore) -> Vec<bool> {
-        TemporalEngine::flags_for(store, self.config.temporal)
+        self.rules.matches(request) || location_mismatch(request)
     }
 
     /// A single-pass evaluator over a request stream in arrival order.
     pub fn stream(&self) -> EngineStream<'_> {
         EngineStream {
             engine: self,
-            temporal: TemporalEngine::new(self.config.temporal),
+            cookie: CookieAnchor::default(),
+            ip: IpAnchor::default(),
         }
     }
 
@@ -120,46 +84,40 @@ impl FpInconsistent {
         store.iter().map(|r| stream.observe(r)).collect()
     }
 
-    /// Streaming [`Detector`] adapters over this engine, in chain order:
-    /// the stateless spatial matcher, the per-cookie temporal anchor and
-    /// the per-IP temporal anchor. Plug them into
-    /// `HoneySite::push_detector` to run FP-Inconsistent inline at ingest.
+    /// The engine's [`Detector`]s, in chain order: the stateless spatial
+    /// matcher, the per-cookie temporal anchor and the per-IP temporal
+    /// anchor. Plug them into `HoneySite::push_detector` to run
+    /// FP-Inconsistent inline at ingest.
     pub fn detectors(&self) -> Vec<Box<dyn Detector>> {
         vec![
-            Box::new(SpatialDetector::from_pack(
-                self.pack.clone(),
-                self.config.generalize_location,
-            )),
-            Box::new(TemporalCookieDetector {
-                inner: CookieAnchor::new(self.config.temporal),
-                config: self.config.temporal,
-            }),
-            Box::new(TemporalIpDetector {
-                inner: IpAnchor::new(self.config.temporal),
-                config: self.config.temporal,
-            }),
+            Box::new(SpatialDetector::from_pack(self.pack.clone())),
+            Box::new(CookieAnchor::default()),
+            Box::new(IpAnchor::default()),
         ]
     }
 }
 
-/// Single-pass `(spatial, temporal)` evaluator borrowed from an engine.
+/// Single-pass `(spatial, temporal)` evaluator borrowed from an engine:
+/// the spatial check plus the two temporal anchor detectors.
 pub struct EngineStream<'a> {
     engine: &'a FpInconsistent,
-    temporal: TemporalEngine,
+    cookie: CookieAnchor,
+    ip: IpAnchor,
 }
 
 impl EngineStream<'_> {
     /// Evaluate one request (must be fed in arrival order).
     pub fn observe(&mut self, request: &StoredRequest) -> (bool, bool) {
-        (
-            self.engine.spatial_flag(request),
-            self.temporal.observe(request),
-        )
+        // Non-short-circuiting: both anchors must ingest every request.
+        let temporal = self.cookie.observe(request).is_bot() | self.ip.observe(request).is_bot();
+        (self.engine.spatial_flag(request), temporal)
     }
 }
 
-/// The location generalisation alone: browser timezone offset contradicts
-/// the IP geolocation offset.
+/// The location check, beyond the concrete mined pairs: the browser
+/// timezone's offset contradicts the IP geolocation offset. This is the
+/// generalisation that catches Tor (§7.5) on exit/timezone combinations
+/// never seen during mining.
 fn location_mismatch(request: &StoredRequest) -> bool {
     request
         .fingerprint
@@ -169,27 +127,20 @@ fn location_mismatch(request: &StoredRequest) -> bool {
         .is_some_and(|tz| tz != request.ip_offset_minutes)
 }
 
-/// The interpreted spatial predicate: mined rule match, plus the
-/// timezone/IP-offset generalisation when enabled. This is the reference
-/// semantics; [`pack_check`] must never diverge from it (the equivalence
-/// suites assert so flag-for-flag).
-fn spatial_check(rules: &RuleSet, generalize_location: bool, request: &StoredRequest) -> bool {
-    rules.matches(request) || (generalize_location && location_mismatch(request))
+/// The compiled spatial predicate: a pack rule match or the location
+/// check. [`FpInconsistent::spatial_flag_interpreted`] is the reference
+/// semantics it must never diverge from (the equivalence suites assert so
+/// flag-for-flag).
+fn pack_check(pack: &RulePack, request: &StoredRequest) -> bool {
+    pack.matches(request) || location_mismatch(request)
 }
 
-/// The compiled spatial predicate: identical semantics to
-/// [`spatial_check`], with rule matching done by the pack.
-fn pack_check(pack: &RulePack, generalize_location: bool, request: &StoredRequest) -> bool {
-    pack.matches(request) || (generalize_location && location_mismatch(request))
-}
-
-/// The compiled rules + location generalisation as a stateless
-/// [`Detector`].
+/// The compiled rules + location check as a stateless [`Detector`].
 ///
 /// Two deployment modes:
 ///
-/// * **Pinned** ([`SpatialDetector::new`] / [`SpatialDetector::from_pack`])
-///   — the detector and all its forks evaluate one fixed pack.
+/// * **Pinned** ([`SpatialDetector::from_pack`]) — the detector and all
+///   its forks evaluate one fixed pack.
 /// * **Tracking** ([`SpatialDetector::tracking`]) — the detector holds a
 ///   shared [`PackSlot`]; each [`Detector::fork`] snapshots the slot's
 ///   *current* pack. When the defender hot-swaps mid-round, in-flight
@@ -198,39 +149,22 @@ fn pack_check(pack: &RulePack, generalize_location: bool, request: &StoredReques
 pub struct SpatialDetector {
     pack: Arc<RulePack>,
     slot: Option<Arc<PackSlot>>,
-    generalize_location: bool,
 }
 
 impl SpatialDetector {
-    /// A detector over an explicit rule set, compiled on construction —
-    /// what one-shot deployments hand the chain.
-    pub fn new(rules: RuleSet, generalize_location: bool) -> SpatialDetector {
-        SpatialDetector::from_pack(Arc::new(RulePack::compile(&rules)), generalize_location)
-    }
-
     /// A detector pinned to an already compiled pack.
-    pub fn from_pack(pack: Arc<RulePack>, generalize_location: bool) -> SpatialDetector {
-        SpatialDetector {
-            pack,
-            slot: None,
-            generalize_location,
-        }
+    pub fn from_pack(pack: Arc<RulePack>) -> SpatialDetector {
+        SpatialDetector { pack, slot: None }
     }
 
     /// A detector tracking a hot-swap slot: every fork snapshots the
     /// slot's current pack — how the re-mining defense member publishes
     /// refreshed rules to future chains without pausing current ones.
-    pub fn tracking(slot: Arc<PackSlot>, generalize_location: bool) -> SpatialDetector {
+    pub fn tracking(slot: Arc<PackSlot>) -> SpatialDetector {
         SpatialDetector {
             pack: slot.load(),
             slot: Some(slot),
-            generalize_location,
         }
-    }
-
-    /// The pack this instance is evaluating right now.
-    pub fn pack(&self) -> Arc<RulePack> {
-        self.pack.clone()
     }
 }
 
@@ -244,10 +178,8 @@ impl Detector for SpatialDetector {
     }
 
     fn observe(&mut self, request: &StoredRequest) -> Verdict {
-        Verdict::from_flag(pack_check(&self.pack, self.generalize_location, request))
+        Verdict::from_flag(pack_check(&self.pack, request))
     }
-
-    fn reset(&mut self) {}
 
     fn fork(&self) -> Box<dyn Detector> {
         Box::new(SpatialDetector {
@@ -258,69 +190,6 @@ impl Detector for SpatialDetector {
                 None => self.pack.clone(),
             },
             slot: self.slot.clone(),
-            generalize_location: self.generalize_location,
-        })
-    }
-}
-
-/// The per-cookie temporal anchor as a [`Detector`].
-pub struct TemporalCookieDetector {
-    inner: CookieAnchor,
-    config: TemporalConfig,
-}
-
-impl Detector for TemporalCookieDetector {
-    fn name(&self) -> &'static str {
-        provenance::FP_TEMPORAL_COOKIE
-    }
-
-    fn scope(&self) -> StateScope {
-        StateScope::PerCookie
-    }
-
-    fn observe(&mut self, request: &StoredRequest) -> Verdict {
-        Verdict::from_flag(self.inner.observe(request))
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-
-    fn fork(&self) -> Box<dyn Detector> {
-        Box::new(TemporalCookieDetector {
-            inner: CookieAnchor::new(self.config),
-            config: self.config,
-        })
-    }
-}
-
-/// The per-IP temporal anchor as a [`Detector`].
-pub struct TemporalIpDetector {
-    inner: IpAnchor,
-    config: TemporalConfig,
-}
-
-impl Detector for TemporalIpDetector {
-    fn name(&self) -> &'static str {
-        provenance::FP_TEMPORAL_IP
-    }
-
-    fn scope(&self) -> StateScope {
-        StateScope::PerIp
-    }
-
-    fn observe(&mut self, request: &StoredRequest) -> Verdict {
-        Verdict::from_flag(self.inner.observe(request))
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-
-    fn fork(&self) -> Box<dyn Detector> {
-        Box::new(TemporalIpDetector {
-            inner: IpAnchor::new(self.config),
-            config: self.config,
         })
     }
 }
@@ -358,90 +227,45 @@ mod tests {
         }
     }
 
+    /// The rule `timezone=UTC AND ip_region=Germany/Bayern`.
+    fn utc_in_bayern() -> RuleSet {
+        let mut rules = RuleSet::new();
+        rules.add(SpatialRule::new(
+            AnalysisAttr::Fp(AttrId::Timezone),
+            AttrValue::text("UTC"),
+            AnalysisAttr::IpRegion,
+            AttrValue::text("Germany/Bayern"),
+        ));
+        rules
+    }
+
     #[test]
     fn generalized_location_catches_unseen_combination() {
         // No mined rules at all — the Tor case: UTC browser, German exit.
-        let engine = FpInconsistent::from_rules(
-            RuleSet::new(),
-            EngineConfig {
-                generalize_location: true,
-                ..Default::default()
-            },
-        );
+        let engine = FpInconsistent::from_rules(RuleSet::new());
         assert!(engine.spatial_flag(&request("UTC", -60)));
         assert!(!engine.spatial_flag(&request("Europe/Berlin", -60)));
     }
 
     #[test]
-    fn generalization_can_be_disabled() {
-        let engine = FpInconsistent::from_rules(RuleSet::new(), EngineConfig::default());
-        assert!(!engine.spatial_flag(&request("UTC", -60)));
-    }
-
-    #[test]
     fn unknown_timezone_is_not_flagged() {
-        let engine = FpInconsistent::from_rules(
-            RuleSet::new(),
-            EngineConfig {
-                generalize_location: true,
-                ..Default::default()
-            },
-        );
+        let engine = FpInconsistent::from_rules(RuleSet::new());
         assert!(!engine.spatial_flag(&request("Mars/Olympus", -60)));
     }
 
     #[test]
     fn mined_rules_apply() {
-        let mut rules = RuleSet::new();
-        rules.add(SpatialRule::new(
-            AnalysisAttr::Fp(AttrId::Timezone),
-            AttrValue::text("UTC"),
-            AnalysisAttr::IpRegion,
-            AttrValue::text("Germany/Bayern"),
-        ));
-        let engine = FpInconsistent::from_rules(rules, EngineConfig::default());
-        assert!(engine.spatial_flag(&request("UTC", -60)));
+        // A UTC browser on a UTC-offset address passes the location check,
+        // so only the rule can flag it.
+        let engine = FpInconsistent::from_rules(utc_in_bayern());
+        assert!(!FpInconsistent::from_rules(RuleSet::new()).spatial_flag(&request("UTC", 0)));
+        assert!(engine.spatial_flag(&request("UTC", 0)));
         assert!(!engine.spatial_flag(&request("Europe/Berlin", -60)));
     }
 
     #[test]
-    fn flags_single_pass_equals_separate_passes() {
-        let engine = FpInconsistent::from_rules(
-            RuleSet::new(),
-            EngineConfig {
-                generalize_location: true,
-                ..Default::default()
-            },
-        );
-        let mut store = RequestStore::new();
-        store.push(request("UTC", -60));
-        store.push(request("Europe/Berlin", -60));
-        store.push(request("UTC", -60));
-        let combined = engine.flags(&store);
-        let spatial = engine.spatial_flags(&store);
-        let temporal = engine.temporal_flags(&store);
-        assert_eq!(combined.len(), 3);
-        for i in 0..3 {
-            assert_eq!(combined[i], (spatial[i], temporal[i]));
-        }
-    }
-
-    #[test]
     fn compiled_and_interpreted_spatial_flags_agree() {
-        let mut rules = RuleSet::new();
-        rules.add(SpatialRule::new(
-            AnalysisAttr::Fp(AttrId::Timezone),
-            AttrValue::text("UTC"),
-            AnalysisAttr::IpRegion,
-            AttrValue::text("Germany/Bayern"),
-        ));
-        let engine = FpInconsistent::from_rules(
-            rules,
-            EngineConfig {
-                generalize_location: true,
-                ..Default::default()
-            },
-        );
+        let engine = FpInconsistent::from_rules(utc_in_bayern());
         for r in [
             request("UTC", -60),
             request("Europe/Berlin", -60),
@@ -455,17 +279,11 @@ mod tests {
 
     #[test]
     fn tracking_detector_forks_pick_up_swapped_pack_without_a_barrier() {
-        let mut rules = RuleSet::new();
-        rules.add(SpatialRule::new(
-            AnalysisAttr::Fp(AttrId::Timezone),
-            AttrValue::text("UTC"),
-            AnalysisAttr::IpRegion,
-            AttrValue::text("Germany/Bayern"),
-        ));
-        let slot = Arc::new(PackSlot::new(RulePack::compile(&rules)));
-        let root = SpatialDetector::tracking(slot.clone(), false);
+        let slot = Arc::new(PackSlot::new(RulePack::compile(&utc_in_bayern())));
+        let root = SpatialDetector::tracking(slot.clone());
         let mut in_flight = root.fork();
-        let hit = request("UTC", -60);
+        // Flagged by the rule alone: the location check passes it.
+        let hit = request("UTC", 0);
 
         assert!(in_flight.observe(&hit).is_bot());
         // Defender hot-swaps to the empty pack mid-round.
@@ -479,25 +297,27 @@ mod tests {
 
     #[test]
     fn detector_adapters_match_the_batch_flags() {
-        let mut rules = RuleSet::new();
-        rules.add(SpatialRule::new(
-            AnalysisAttr::Fp(AttrId::Timezone),
-            AttrValue::text("UTC"),
-            AnalysisAttr::IpRegion,
-            AttrValue::text("Germany/Bayern"),
-        ));
-        let engine = FpInconsistent::from_rules(
-            rules,
-            EngineConfig {
-                generalize_location: true,
-                ..Default::default()
-            },
-        );
+        let engine = FpInconsistent::from_rules(utc_in_bayern());
         let mut store = RequestStore::new();
         store.push(request("UTC", -60));
         store.push(request("Europe/Berlin", -60));
         store.push(request("UTC", 0));
+        // The cookie reports two core counts, then its address a second
+        // timezone offset: both anchors flag.
+        for (cores, offset) in [(4i64, 0i64), (8, 0), (4, -60)] {
+            let mut r = request("Europe/Berlin", -60);
+            r.fingerprint.set(AttrId::HardwareConcurrency, cores);
+            r.fingerprint.set(AttrId::TimezoneOffset, offset);
+            store.push(r);
+        }
         let batch = engine.flags(&store);
+        assert_eq!(
+            batch
+                .iter()
+                .map(|(_, temporal)| *temporal)
+                .collect::<Vec<_>>(),
+            [false, false, false, false, true, true]
+        );
 
         let mut detectors = engine.detectors();
         assert_eq!(detectors.len(), 3);

@@ -225,7 +225,7 @@ impl CohortReport {
 /// Split per-detector performance by traffic cohort, reading the named
 /// [`fp_types::VerdictSet`] the ingest chain recorded on each request —
 /// so it covers every detector that actually ran, commercial simulators
-/// and FP-Inconsistent adapters alike. Single pass over the store.
+/// and FP-Inconsistent's detectors alike. Single pass over the store.
 pub fn cohort_report(store: &RequestStore) -> CohortReport {
     let n_cohorts = Cohort::ALL.len();
     let mut sizes = [0u64; 5];
@@ -656,7 +656,6 @@ pub fn flag_rate(store: &RequestStore, engine: &FpInconsistent) -> (f64, f64, f6
 mod tests {
     use super::*;
     use crate::attrs::AnalysisAttr;
-    use crate::engine::EngineConfig;
     use crate::rules::{RuleSet, SpatialRule};
     use fp_honeysite::StoredRequest;
     use fp_types::{sym, AttrId, AttrValue, BehaviorTrace, Fingerprint, SimTime, VerdictSet};
@@ -695,7 +694,7 @@ mod tests {
             AnalysisAttr::Fp(AttrId::Timezone),
             AttrValue::text("America/Los_Angeles"),
         ));
-        FpInconsistent::from_rules(rules, EngineConfig::default())
+        FpInconsistent::from_rules(rules)
     }
 
     #[test]

@@ -11,15 +11,17 @@
 //!   pairs against the validity oracle (the automated form of the paper's
 //!   semi-automatic human check), and emit concrete filter rules.
 //! * [`temporal`] — §7.2: per-cookie variance of immutable attributes and
-//!   per-IP timezone churn, evaluated in arrival order.
+//!   per-IP timezone churn, evaluated in arrival order by two detectors
+//!   (the cookie and IP anchors).
 //! * [`rules`] — the filter list: a serialisable, human-readable rule set
 //!   (the paper open-sources its rules in exactly this spirit).
 //! * [`rulepack`] — the compiled form of the filter list: an immutable,
 //!   content-hash-versioned artifact with dense value-id tables and
 //!   branch-light pair probes, hot-swapped barrier-free into the ingest
 //!   path when the defender re-mines.
-//! * [`engine`] — request matching: spatial rules + generalised location
-//!   check + temporal state.
+//! * [`engine`] — request matching: spatial rules + the location check +
+//!   the temporal anchors, one set of detectors that the ingest chain and
+//!   the batch path both run.
 //! * [`evaluate`] — Tables 3 and 4, §7.4's true-negative rate, the §7.3
 //!   80/20 generalisation experiment, and the closed-loop arena's
 //!   round-over-round trajectory report (recall decay, evasion half-life,

@@ -102,8 +102,6 @@ impl Detector for BotD {
         Self::classify(&request.fingerprint)
     }
 
-    fn reset(&mut self) {}
-
     fn fork(&self) -> Box<dyn Detector> {
         Box::new(BotD::new())
     }

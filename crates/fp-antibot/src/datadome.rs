@@ -220,10 +220,6 @@ impl Detector for DataDome {
         )
     }
 
-    fn reset(&mut self) {
-        self.history.clear();
-    }
-
     fn fork(&self) -> Box<dyn Detector> {
         Box::new(DataDome::new())
     }
@@ -545,22 +541,6 @@ mod tests {
         assert_eq!(
             dd.decide(&request(fp, replay, RESIDENTIAL_IP)),
             Verdict::Bot
-        );
-    }
-
-    #[test]
-    fn reset_clears_history() {
-        let mut dd = DataDome::new();
-        for i in 0..20u32 {
-            let fp = consistent(DeviceKind::Mac, BrowserFamily::Chrome)
-                .with(AttrId::HardwareConcurrency, i64::from(2 + (i % 13)));
-            let _ = dd.decide(&request(fp, human_mouse(), RESIDENTIAL_IP));
-        }
-        dd.reset();
-        let fp = consistent(DeviceKind::Mac, BrowserFamily::Chrome);
-        assert_eq!(
-            dd.decide(&request(fp, human_mouse(), RESIDENTIAL_IP)),
-            Verdict::Human
         );
     }
 }

@@ -157,7 +157,6 @@ impl RoundResult {
 pub struct Arena {
     config: ArenaConfig,
     base: Campaign,
-    engine: FpInconsistent,
     stack: DefenseStack,
     /// The spatial member's deployment slot (shared with the member): the
     /// arena reads it to report the active pack, tests read it to verify
@@ -268,7 +267,6 @@ impl Arena {
         Arena {
             config,
             base,
-            engine,
             stack,
             spatial_pack,
             spatial_churn,
@@ -369,13 +367,6 @@ impl Arena {
     /// The base (round-0) campaign.
     pub fn base_campaign(&self) -> &Campaign {
         &self.base
-    }
-
-    /// The engine as mined on round 0's paper traffic. With re-mining
-    /// enabled this is the *initial* state only — the live rules are the
-    /// stack's spatial member's.
-    pub fn engine(&self) -> &FpInconsistent {
-        &self.engine
     }
 
     /// The defender's stack: member chain and decision policy.

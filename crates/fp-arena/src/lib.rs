@@ -14,8 +14,8 @@
 //!   record-everything-serve-everything posture), past a vote threshold.
 //!   It is one implementation of the
 //!   [`fp_types::defense::DecisionPolicy`] contract; richer policies
-//!   (per-detector weights/actions, repeat-offender TTL escalation) plug
-//!   into the same slot via [`Arena::set_policy`].
+//!   (repeat-offender TTL escalation, CAPTCHA-then-block) plug into the
+//!   same slot via [`Arena::set_policy`].
 //! * [`DefenseStack`] (from `fp-honeysite`) — the defender as a value:
 //!   lifecycle-aware members, the decision policy, and the
 //!   epoch-segmented training store. The arena drives the defender's

@@ -110,10 +110,6 @@ impl Detector for BehaviorDetector {
         Verdict::from_flag(*seen >= th.min_observations.max(1))
     }
 
-    fn reset(&mut self) {
-        self.machine_obs.clear();
-    }
-
     fn fork(&self) -> Box<dyn Detector> {
         // Fresh per-cookie state, same (shared) thresholds — the shard
         // fork discipline.
@@ -392,7 +388,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_and_fork_drop_state_but_share_thresholds() {
+    fn forks_drop_state_but_share_thresholds() {
         let mut d = BehaviorDetector::new();
         let r = record(9, machine(), BehaviorTrace::silent());
         for _ in 0..3 {
@@ -404,8 +400,6 @@ mod tests {
             !forked.observe(&r).is_bot(),
             "forks start from empty per-cookie state"
         );
-        d.reset();
-        assert!(!d.observe(&r).is_bot(), "reset drops accumulated state");
     }
 
     #[test]

@@ -5,8 +5,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fp_botnet::{Campaign, CampaignConfig};
 use fp_honeysite::{HoneySite, RequestStore};
+use fp_inconsistent_core::temporal::{CookieAnchor, IpAnchor};
 use fp_inconsistent_core::{FpInconsistent, MineConfig};
-use fp_types::{Scale, ServiceId};
+use fp_types::{Detector, Scale, ServiceId};
 
 fn store_at(scale: f64) -> RequestStore {
     let campaign = Campaign::generate(CampaignConfig {
@@ -51,7 +52,13 @@ fn bench_matching(c: &mut Criterion) {
         b.iter(|| store.iter().filter(|r| engine.spatial_flag(r)).count())
     });
     group.bench_function("temporal_stream", |b| {
-        b.iter(|| engine.temporal_flags(&store).iter().filter(|f| **f).count())
+        b.iter(|| {
+            let (mut cookie, mut ip) = (CookieAnchor::default(), IpAnchor::default());
+            store
+                .iter()
+                .filter(|r| cookie.observe(r).is_bot() | ip.observe(r).is_bot())
+                .count()
+        })
     });
     group.finish();
 }

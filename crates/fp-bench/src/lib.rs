@@ -332,7 +332,7 @@ pub fn cohort_stream(campaign: &Campaign) -> Vec<fp_types::Request> {
 
 /// Generate the campaign and run the *extended* stream (bots, real users,
 /// both agent cohorts) through the honey site with FP-Inconsistent's
-/// detector adapters inline, so every record carries all seven named
+/// detectors inline, so every record carries all seven named
 /// verdicts. Rules are mined on a first paper-traffic pass (the
 /// deployment setting: mine offline, deploy online).
 pub fn recorded_cohort_campaign(scale: Scale) -> (Campaign, RequestStore) {
@@ -384,7 +384,7 @@ impl StreamReport {
 ///
 /// Batch path: sequential `ingest_all`, then rules mined from the store and
 /// `FpInconsistent::flags` over it. Streaming path: rules pre-mined (the
-/// deployment setting), FP-Inconsistent's detector adapters appended to the
+/// deployment setting), FP-Inconsistent's detectors appended to the
 /// honey site's chain, one sharded `ingest_stream` pass producing all seven
 /// verdicts per request online.
 pub fn stream_report(scale: Scale, shards: usize) -> StreamReport {

@@ -13,14 +13,15 @@
 //! ```text
 //! caller ──submit──▶ [ingress] ──▶ enricher ──▶ [ip shard 0..n]  ──▶ ip workers ──┐
 //!   │                                  │                                          ├─▶ [collector] ─▶ collector ─▶ store
-//!   │ token check + admission gate     └─────▶ [cookie shard 0..n] ─▶ ck workers ─┘
+//!   │ token check                      └─────▶ [cookie shard 0..n] ─▶ ck workers ─┘
 //!   └─ full ingress: Block (wait) or Shed (drop + count)
 //! ```
 //!
 //! * **Admission on the hot path**: the caller's thread runs the token
-//!   check (cookie issuance) and an optional admission gate (the TTL
-//!   blocklist / policy check) *before* anything is enqueued — a denied
-//!   request never costs queue space or a worker's time.
+//!   check (cookie issuance) *before* anything is enqueued — a rejected
+//!   request never costs queue space or a worker's time. A caller that
+//!   turns addresses away (the arena's TTL blocklist) does so before it
+//!   submits.
 //! * **Backpressure is explicit**: the ingress queue is the sole intake
 //!   gate. When it is full, [`OverflowPolicy::Block`] makes `submit`
 //!   wait for drain (nothing dropped, latency absorbs the spike) and
@@ -72,9 +73,6 @@ use std::time::Instant;
 /// Registry name of the shed-request counter (requests turned away by a
 /// full ingress queue under [`OverflowPolicy::Shed`]).
 pub const SERVE_REQUESTS_SHED: &str = "serve_requests_shed";
-/// Registry name of the gate-denied counter (requests refused by the
-/// admission gate — e.g. a TTL-blocklisted address — before enqueue).
-pub const SERVE_REQUESTS_DENIED: &str = "serve_requests_denied";
 /// Registry name of the ingress-queue high-water gauge (set at
 /// [`FpService::finish`]).
 pub const SERVE_INGRESS_DEPTH_PEAK: &str = "serve_ingress_depth_peak";
@@ -93,9 +91,6 @@ pub enum SubmitOutcome {
     /// No registered token — not recorded, exactly like the sequential
     /// loop.
     Rejected,
-    /// The admission gate said no (TTL blocklist / policy): never
-    /// enqueued, counted in [`SERVE_REQUESTS_DENIED`].
-    Denied,
     /// The ingress queue was full under [`OverflowPolicy::Shed`]:
     /// dropped, counted in [`SERVE_REQUESTS_SHED`]. The request may have
     /// consumed a cookie number (the token check runs before the queue
@@ -312,7 +307,6 @@ struct ServeObs {
     latency: Arc<Histogram>,
     admitted: Arc<Counter>,
     shed: Arc<Counter>,
-    denied: Arc<Counter>,
     ingress_peak: Arc<Gauge>,
     shard_peak: Arc<Gauge>,
     collector_peak: Arc<Gauge>,
@@ -339,7 +333,6 @@ pub struct FpService {
     obs: Option<ServeObs>,
     seq: u64,
     shed: u64,
-    denied: u64,
 }
 
 impl HoneySite {
@@ -360,7 +353,6 @@ impl HoneySite {
             latency: m.latency_ns.clone(),
             admitted: m.admitted.clone(),
             shed: m.registry.counter(SERVE_REQUESTS_SHED),
-            denied: m.registry.counter(SERVE_REQUESTS_DENIED),
             ingress_peak: m.registry.gauge(SERVE_INGRESS_DEPTH_PEAK),
             shard_peak: m.registry.gauge(SERVE_SHARD_DEPTH_PEAK),
             collector_peak: m.registry.gauge(SERVE_COLLECTOR_DEPTH_PEAK),
@@ -543,7 +535,6 @@ impl HoneySite {
             obs,
             seq: 0,
             shed: 0,
-            denied: 0,
         }
     }
 
@@ -578,39 +569,20 @@ impl HoneySite {
 }
 
 impl FpService {
-    /// Submit one request with no extra admission gate (token check
-    /// only). See [`FpService::submit_with_gate`].
-    pub fn submit(&mut self, request: Request) -> SubmitOutcome {
-        self.submit_with_gate(request, |_, _| true)
-    }
-
-    /// Submit one request. On the caller's thread, in order: the
-    /// admission gate (handed the request and its hashed source IP —
-    /// return `false` to deny, e.g. for a TTL-blocklisted address), then
-    /// the site's token check (cookie issuance), then the enqueue under
-    /// the configured [`OverflowPolicy`]. Everything else happens on the
+    /// Submit one request. On the caller's thread, in order: the site's
+    /// token check (cookie issuance), then the enqueue under the
+    /// configured [`OverflowPolicy`]. Everything else happens on the
     /// service's resident workers.
-    pub fn submit_with_gate<F>(&mut self, request: Request, gate: F) -> SubmitOutcome
-    where
-        F: FnOnce(&Request, u64) -> bool,
-    {
-        let ip_hash = fp_netsim::NetDb::hash_ip(request.ip);
-        if !gate(&request, ip_hash) {
-            self.denied += 1;
-            if let Some(o) = &self.obs {
-                o.denied.inc();
-            }
-            return SubmitOutcome::Denied;
-        }
+    pub fn submit(&mut self, request: Request) -> SubmitOutcome {
         let site = self.site.as_mut().expect("site present until finish");
         let Some(cookie) = site.admit(&request) else {
             return SubmitOutcome::Rejected;
         };
         let item = IngressItem {
             seq: self.seq,
+            ip_hash: fp_netsim::NetDb::hash_ip(request.ip),
             request,
             cookie,
-            ip_hash,
             stamp: self.obs.as_ref().map(|_| Instant::now()),
         };
         match self.config.overflow {
@@ -647,11 +619,6 @@ impl FpService {
     /// [`OverflowPolicy::Shed`].
     pub fn shed_count(&self) -> u64 {
         self.shed
-    }
-
-    /// Requests refused by the admission gate.
-    pub fn denied_count(&self) -> u64 {
-        self.denied
     }
 
     /// Drain and stop: close the intake, join every stage, adopt the

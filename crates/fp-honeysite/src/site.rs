@@ -508,7 +508,6 @@ mod tests {
             fn observe(&mut self, _r: &StoredRequest) -> Verdict {
                 Verdict::Bot
             }
-            fn reset(&mut self) {}
             fn fork(&self) -> Box<dyn Detector> {
                 Box::new(AlwaysBot)
             }

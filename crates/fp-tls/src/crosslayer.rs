@@ -70,8 +70,6 @@ impl Detector for TlsCrossLayer {
         Verdict::from_flag(TlsCrossLayer::mismatch(request))
     }
 
-    fn reset(&mut self) {}
-
     fn fork(&self) -> Box<dyn Detector> {
         Box::new(TlsCrossLayer)
     }

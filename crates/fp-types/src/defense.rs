@@ -10,10 +10,8 @@
 //!   the little admission-side context a real gateway has: address
 //!   identity, time, prior offenses) to a [`MitigationAction`]. The old
 //!   global vote threshold is one implementation ([`ResponsePolicy`]);
-//!   per-detector weights ([`WeightedVotes`]), per-detector actions
-//!   ([`PerDetectorActions`]), escalating TTLs keyed on repeat offenses
-//!   ([`EscalatingTtl`]) and the CAPTCHA-then-block hybrid
-//!   ([`CaptchaEscalation`]) are others.
+//!   escalating TTLs keyed on repeat offenses ([`EscalatingTtl`]) and the
+//!   CAPTCHA-then-block hybrid ([`CaptchaEscalation`]) wrap any policy.
 //! * [`StackMember`] — one lifecycle-aware slot in a defense stack: it
 //!   *produces* a fresh [`Detector`] for each measurement round and may
 //!   retrain itself from the retained training window when the round ends
@@ -32,7 +30,6 @@
 
 use crate::clock::{SimTime, STUDY_DAYS};
 use crate::detect::{Detector, VerdictSet};
-use crate::interner::Symbol;
 use crate::mitigation::MitigationAction;
 use crate::retention::RecordView;
 
@@ -201,148 +198,6 @@ impl DecisionPolicy for ResponsePolicy {
 
     fn decide(&self, ctx: &DecisionContext<'_>) -> MitigationAction {
         ResponsePolicy::decide(self, ctx.verdicts)
-    }
-}
-
-/// Per-detector *weighted* voting: each flagging detector contributes its
-/// weight to a score; crossing the threshold triggers the action.
-///
-/// This is the "portfolio of heterogeneous signals" policy: a
-/// high-precision detector (the cross-layer TLS check) can be weighted to
-/// trigger alone while two noisy browser-layer flags are needed to reach
-/// the same score.
-pub struct WeightedVotes {
-    name: &'static str,
-    weights: Vec<(Symbol, f64)>,
-    default_weight: f64,
-    threshold: f64,
-    action: MitigationAction,
-}
-
-impl WeightedVotes {
-    /// A weighted policy that triggers `action` at `threshold` score.
-    /// Detectors without an explicit weight contribute `default_weight`.
-    pub fn new(
-        name: &'static str,
-        threshold: f64,
-        default_weight: f64,
-        action: MitigationAction,
-    ) -> WeightedVotes {
-        WeightedVotes {
-            name,
-            weights: Vec::new(),
-            default_weight,
-            threshold,
-            action,
-        }
-    }
-
-    /// Set one detector's weight (by provenance name).
-    pub fn with_weight(mut self, detector: &str, weight: f64) -> WeightedVotes {
-        let sym = crate::sym(detector);
-        if let Some(slot) = self.weights.iter_mut().find(|(d, _)| *d == sym) {
-            slot.1 = weight;
-        } else {
-            self.weights.push((sym, weight));
-        }
-        self
-    }
-
-    /// The flagged-detector score for one verdict set.
-    pub fn score(&self, verdicts: &VerdictSet) -> f64 {
-        verdicts
-            .iter()
-            .filter(|(_, v)| v.is_bot())
-            .map(|(d, _)| {
-                self.weights
-                    .iter()
-                    .find(|(w, _)| *w == d)
-                    .map(|(_, weight)| *weight)
-                    .unwrap_or(self.default_weight)
-            })
-            .sum()
-    }
-}
-
-impl DecisionPolicy for WeightedVotes {
-    fn name(&self) -> &str {
-        self.name
-    }
-
-    fn decide(&self, ctx: &DecisionContext<'_>) -> MitigationAction {
-        if self.score(ctx.verdicts) >= self.threshold {
-            self.action
-        } else {
-            MitigationAction::Allow
-        }
-    }
-}
-
-/// Per-detector actions: each detector triggers its own response, and the
-/// highest-severity action among the flagging detectors wins (Block >
-/// Captcha > ShadowFlag > Allow; equal-severity blocks keep the longer
-/// TTL).
-pub struct PerDetectorActions {
-    name: &'static str,
-    actions: Vec<(Symbol, MitigationAction)>,
-    /// Action for flagging detectors without an explicit entry.
-    fallback: MitigationAction,
-}
-
-impl PerDetectorActions {
-    /// A per-detector policy; unlisted flagging detectors trigger
-    /// `fallback`.
-    pub fn new(name: &'static str, fallback: MitigationAction) -> PerDetectorActions {
-        PerDetectorActions {
-            name,
-            actions: Vec::new(),
-            fallback,
-        }
-    }
-
-    /// Set the action one detector (by provenance name) triggers.
-    pub fn with_action(mut self, detector: &str, action: MitigationAction) -> PerDetectorActions {
-        let sym = crate::sym(detector);
-        if let Some(slot) = self.actions.iter_mut().find(|(d, _)| *d == sym) {
-            slot.1 = action;
-        } else {
-            self.actions.push((sym, action));
-        }
-        self
-    }
-}
-
-impl DecisionPolicy for PerDetectorActions {
-    fn name(&self) -> &str {
-        self.name
-    }
-
-    fn decide(&self, ctx: &DecisionContext<'_>) -> MitigationAction {
-        let mut decided = MitigationAction::Allow;
-        for (detector, verdict) in ctx.verdicts.iter() {
-            if !verdict.is_bot() {
-                continue;
-            }
-            let action = self
-                .actions
-                .iter()
-                .find(|(d, _)| *d == detector)
-                .map(|(_, a)| *a)
-                .unwrap_or(self.fallback);
-            let wins = match (action.severity(), decided.severity()) {
-                (a, b) if a > b => true,
-                (a, b) if a < b => false,
-                // Equal severity: longer block TTL wins; otherwise keep.
-                _ => match (action, decided) {
-                    (MitigationAction::Block(new), MitigationAction::Block(old)) => new > old,
-                    _ => false,
-                },
-            };
-            if wins {
-                decided = action;
-            }
-        }
-        decided
     }
 }
 
@@ -614,7 +469,7 @@ impl StackMember for Frozen {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::{provenance, StateScope, Verdict};
+    use crate::detect::{StateScope, Verdict};
     use crate::stored::StoredRequest;
     use crate::sym;
 
@@ -700,68 +555,6 @@ mod tests {
         // Non-block policies fall back to the default block TTL base.
         let from_captcha = ResponsePolicy::captcha().escalating(2, u64::MAX);
         assert_eq!(from_captcha.ttl_for(0), DEFAULT_BLOCK_TTL_SECS);
-    }
-
-    #[test]
-    fn weighted_votes_score_per_detector() {
-        let policy = WeightedVotes::new("weighted", 1.0, 0.4, MitigationAction::Captcha)
-            .with_weight(provenance::FP_TLS_CROSSLAYER, 1.0)
-            .with_weight(provenance::BOTD, 0.5);
-        // The high-precision detector triggers alone.
-        let tls = verdicts(&[provenance::FP_TLS_CROSSLAYER], &[provenance::BOTD]);
-        assert_eq!(policy.decide(&ctx(&tls, 0)), MitigationAction::Captcha);
-        // One default-weight flag does not reach the threshold...
-        let one = verdicts(&[provenance::DATADOME], &[]);
-        assert!((policy.score(&one) - 0.4).abs() < 1e-12);
-        assert_eq!(policy.decide(&ctx(&one, 0)), MitigationAction::Allow);
-        // ...but botd + a default-weight flag does (0.5 + 0.4 < 1.0 — no),
-        // while two default flags plus botd do.
-        let three = verdicts(&[provenance::DATADOME, "x", provenance::BOTD], &[]);
-        assert!(policy.score(&three) >= 1.0);
-        assert_eq!(policy.decide(&ctx(&three, 0)), MitigationAction::Captcha);
-    }
-
-    #[test]
-    fn weighted_votes_overwrites_duplicate_weights() {
-        let policy = WeightedVotes::new("w", 1.0, 0.0, MitigationAction::Captcha)
-            .with_weight("a", 0.2)
-            .with_weight("a", 1.0);
-        assert!((policy.score(&verdicts(&["a"], &[])) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn per_detector_actions_highest_severity_wins() {
-        let policy = PerDetectorActions::new("split", MitigationAction::ShadowFlag)
-            .with_action(provenance::FP_TLS_CROSSLAYER, MitigationAction::Block(500))
-            .with_action(provenance::BOTD, MitigationAction::Captcha);
-        let both = verdicts(&[provenance::BOTD, provenance::FP_TLS_CROSSLAYER], &[]);
-        assert_eq!(policy.decide(&ctx(&both, 0)), MitigationAction::Block(500));
-        let botd_only = verdicts(&[provenance::BOTD], &[provenance::FP_TLS_CROSSLAYER]);
-        assert_eq!(
-            policy.decide(&ctx(&botd_only, 0)),
-            MitigationAction::Captcha
-        );
-        let unlisted = verdicts(&["mystery"], &[]);
-        assert_eq!(
-            policy.decide(&ctx(&unlisted, 0)),
-            MitigationAction::ShadowFlag
-        );
-        let clean = verdicts(&[], &[provenance::BOTD]);
-        assert_eq!(policy.decide(&ctx(&clean, 0)), MitigationAction::Allow);
-    }
-
-    #[test]
-    fn per_detector_actions_longer_block_wins_ties() {
-        let policy = PerDetectorActions::new("split", MitigationAction::Allow)
-            .with_action("a", MitigationAction::Block(100))
-            .with_action("b", MitigationAction::Block(900));
-        let both = verdicts(&["a", "b"], &[]);
-        assert_eq!(policy.decide(&ctx(&both, 0)), MitigationAction::Block(900));
-        let swapped = verdicts(&["b", "a"], &[]);
-        assert_eq!(
-            policy.decide(&ctx(&swapped, 0)),
-            MitigationAction::Block(900)
-        );
     }
 
     #[test]
@@ -898,9 +691,6 @@ mod tests {
         fn observe(&mut self, _r: &StoredRequest) -> Verdict {
             self.0 += 1;
             Verdict::Human
-        }
-        fn reset(&mut self) {
-            self.0 = 0;
         }
         fn fork(&self) -> Box<dyn Detector> {
             Box::new(CountingDetector(0))

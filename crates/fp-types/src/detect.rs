@@ -86,9 +86,6 @@ pub trait Detector: Send {
     /// their per-anchor history.
     fn observe(&mut self, request: &StoredRequest) -> Verdict;
 
-    /// Drop accumulated state (new measurement run).
-    fn reset(&mut self);
-
     /// A fresh instance of this detector with empty state and the same
     /// configuration — what each ingest shard runs.
     fn fork(&self) -> Box<dyn Detector>;

@@ -28,8 +28,8 @@
 //!   closes the loop between the two).
 //! * [`defense`] — the defender-side lifecycle contract: a
 //!   [`DecisionPolicy`] maps each request's recorded verdicts to a
-//!   [`MitigationAction`] (vote thresholds, per-detector weights/actions,
-//!   escalating TTLs, CAPTCHA-then-block hybrids), and a [`StackMember`]
+//!   [`MitigationAction`] (vote thresholds, escalating TTLs,
+//!   CAPTCHA-then-block hybrids), and a [`StackMember`]
 //!   produces a fresh detector per round and may retrain itself from the
 //!   retained training window.
 //! * [`serve`] — the serving-layer contract ([`ServeConfig`],
@@ -87,8 +87,8 @@ pub use attr::AttrId;
 pub use behavior::{BehaviorFacet, BehaviorThresholds};
 pub use clock::{SimClock, SimTime, STUDY_DAYS, STUDY_EPOCH_UNIX};
 pub use defense::{
-    CaptchaEscalation, DecisionContext, DecisionPolicy, EscalatingTtl, Frozen, PerDetectorActions,
-    ResponsePolicy, RetrainSpend, RoundContext, StackMember, WeightedVotes, DEFAULT_BLOCK_TTL_SECS,
+    CaptchaEscalation, DecisionContext, DecisionPolicy, EscalatingTtl, Frozen, ResponsePolicy,
+    RetrainSpend, RoundContext, StackMember, DEFAULT_BLOCK_TTL_SECS,
 };
 pub use detect::{Detector, StateScope, Verdict, VerdictSet};
 pub use fingerprint::Fingerprint;

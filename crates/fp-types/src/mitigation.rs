@@ -45,19 +45,6 @@ impl MitigationAction {
     pub fn blocks(self) -> bool {
         matches!(self, MitigationAction::Block(_))
     }
-
-    /// How aggressive the action is, for policies that must pick one of
-    /// several candidate responses: `Allow` < `ShadowFlag` < `Captcha` <
-    /// `Block` (per-detector policies let the highest-severity flagged
-    /// detector win).
-    pub fn severity(self) -> u8 {
-        match self {
-            MitigationAction::Allow => 0,
-            MitigationAction::ShadowFlag => 1,
-            MitigationAction::Captcha => 2,
-            MitigationAction::Block(_) => 3,
-        }
-    }
 }
 
 impl fmt::Display for MitigationAction {
@@ -152,18 +139,6 @@ mod tests {
         assert!(MitigationAction::Block(60).visible_to_client());
         assert!(MitigationAction::Block(60).blocks());
         assert!(!MitigationAction::Captcha.blocks());
-    }
-
-    #[test]
-    fn severity_orders_actions() {
-        assert!(MitigationAction::Allow.severity() < MitigationAction::ShadowFlag.severity());
-        assert!(MitigationAction::ShadowFlag.severity() < MitigationAction::Captcha.severity());
-        assert!(MitigationAction::Captcha.severity() < MitigationAction::Block(1).severity());
-        assert_eq!(
-            MitigationAction::Block(1).severity(),
-            MitigationAction::Block(u64::MAX).severity(),
-            "TTL does not change the severity class"
-        );
     }
 
     #[test]

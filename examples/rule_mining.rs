@@ -7,7 +7,6 @@
 //! cargo run --release --example rule_mining
 //! ```
 
-use fp_inconsistent::core::engine::EngineConfig;
 use fp_inconsistent::core::evaluate;
 use fp_inconsistent::core::CATEGORIES;
 use fp_inconsistent::prelude::*;
@@ -57,13 +56,7 @@ fn main() {
         scale: Scale::ratio(0.02),
         seed: 999,
     }));
-    let deployed = FpInconsistent::from_rules(
-        reparsed,
-        EngineConfig {
-            generalize_location: true,
-            ..EngineConfig::default()
-        },
-    );
+    let deployed = FpInconsistent::from_rules(reparsed);
     let (_, report) = evaluate::evaluate(&fresh, &deployed);
     println!(
         "\non unseen traffic: DataDome {:.2}% -> {:.2}%, BotD {:.2}% -> {:.2}%",

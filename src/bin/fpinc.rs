@@ -13,7 +13,6 @@
 //! filter list and reports the detection improvement on a dataset.
 //! `report` prints the headline tables in one go.
 
-use fp_inconsistent::core::engine::EngineConfig;
 use fp_inconsistent::core::evaluate;
 use fp_inconsistent::honeysite::stats;
 use fp_inconsistent::prelude::*;
@@ -152,13 +151,7 @@ fn cmd_apply(opts: &HashMap<String, String>) -> Result<(), String> {
     let text =
         std::fs::read_to_string(rules_path).map_err(|e| format!("read {rules_path}: {e}"))?;
     let rules = RuleSet::from_filter_list(&text)?;
-    let engine = FpInconsistent::from_rules(
-        rules,
-        EngineConfig {
-            generalize_location: true,
-            ..EngineConfig::default()
-        },
-    );
+    let engine = FpInconsistent::from_rules(rules);
     let (_, report) = evaluate::evaluate(&store, &engine);
     let tnr = evaluate::true_negative_rate(&store, &engine);
     println!(

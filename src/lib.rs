@@ -33,8 +33,8 @@
 //! // A small deterministic campaign (1% of the paper's volume).
 //! let campaign = Campaign::generate(CampaignConfig { scale: Scale::ratio(0.01), seed: 7 });
 //!
-//! // Run it through the honey site (default chain: DataDome, BotD, and
-//! // the cross-layer TLS consistency check).
+//! // Run it through the honey site (default chain: DataDome, BotD, the
+//! // cross-layer TLS consistency check and the session behaviour detector).
 //! let mut site = HoneySite::new();
 //! for id in ServiceId::all() {
 //!     site.register_token(campaign.token_of(id));
@@ -47,10 +47,10 @@
 //! let (_, report) = fp_inconsistent::core::evaluate::evaluate(&store, &engine);
 //! assert!(report.combined.0 > report.none.0, "rules must add detection");
 //!
-//! // Deploy the mined engine *online*: plug its detector adapters into a
+//! // Deploy the mined engine *online*: plug its three detectors into a
 //! // fresh site's chain and ingest the same stream on 4 shards. Every
-//! // request now carries named verdicts from all six detectors (the
-//! // default chain includes the cross-layer TLS consistency check).
+//! // request now carries named verdicts from all seven detectors: the
+//! // default chain's four and the engine's three.
 //! let mut live = HoneySite::new();
 //! for id in ServiceId::all() {
 //!     live.register_token(campaign.token_of(id));
@@ -61,6 +61,7 @@
 //! live.ingest_stream(campaign.bot_requests.clone(), 4);
 //! let streamed = live.into_store();
 //! let first = streamed.get(0).unwrap();
+//! assert_eq!(first.verdicts.len(), 7);
 //! let dd = fp_inconsistent::types::detect::provenance::DATADOME;
 //! assert_eq!(first.verdicts.bot(dd), store.get(0).unwrap().verdicts.bot(dd));
 //! assert!(first.verdicts.verdict("fp-spatial").is_some());

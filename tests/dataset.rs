@@ -110,13 +110,7 @@ fn filter_list_survives_disk_and_reordering() {
     let reparsed = RuleSet::from_filter_list(&shuffled).unwrap();
     assert_eq!(reparsed.len(), engine.rules().len());
 
-    let deployed = FpInconsistent::from_rules(
-        reparsed,
-        fp_inconsistent_core::engine::EngineConfig {
-            generalize_location: true,
-            ..Default::default()
-        },
-    );
+    let deployed = FpInconsistent::from_rules(reparsed);
     let (_, a) = evaluate::evaluate(&store, &engine);
     let (_, b) = evaluate::evaluate(&store, &deployed);
     assert_eq!(a.spatial, b.spatial, "rule order must not matter");

@@ -2,10 +2,10 @@
 
 use fp_inconsistent_core::attrs::AnalysisAttr;
 use fp_inconsistent_core::spatial::{mine_records, review_order, PairCounts};
-use fp_inconsistent_core::temporal::{CookieAnchor, IpAnchor, TemporalConfig};
+use fp_inconsistent_core::temporal::{CookieAnchor, IpAnchor};
 use fp_inconsistent_core::{MineConfig, RulePack, RuleSet, SpatialRule};
 use fp_tls::{ClientHello, Extension};
-use fp_types::{sym, AttrId, AttrValue, CookieId, Fingerprint, StoredRequest};
+use fp_types::{sym, AttrId, AttrValue, CookieId, Detector, Fingerprint, StoredRequest};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -548,9 +548,9 @@ proptest! {
 
 /// The set-based anchors, as they were before the flat state: every
 /// distinct value of each immutable attribute per cookie plus a burned
-/// set, and every distinct timezone offset per address.
+/// set, and every distinct timezone offset per address. A burned cookie
+/// keeps flagging, and an address tolerates one offset.
 struct SetAnchors {
-    config: TemporalConfig,
     attrs: Vec<AttrId>,
     per_cookie: HashMap<CookieId, Vec<HashSet<AttrValue>>>,
     burned: HashSet<CookieId>,
@@ -558,9 +558,8 @@ struct SetAnchors {
 }
 
 impl SetAnchors {
-    fn new(config: TemporalConfig) -> SetAnchors {
+    fn new() -> SetAnchors {
         SetAnchors {
-            config,
             attrs: AttrId::iter()
                 .filter(|a| a.immutable_for_device())
                 .collect(),
@@ -590,7 +589,7 @@ impl SetAnchors {
         }
         if flagged {
             self.burned.insert(request.cookie);
-        } else if self.config.burned_cookie_persists && self.burned.contains(&request.cookie) {
+        } else if self.burned.contains(&request.cookie) {
             flagged = true;
         }
         flagged
@@ -603,7 +602,7 @@ impl SetAnchors {
         let offsets = self.per_ip_offsets.entry(request.ip_hash).or_default();
         let mut flagged = false;
         if !offsets.contains(&offset) {
-            if offsets.len() >= self.config.max_offsets_per_ip {
+            if !offsets.is_empty() {
                 flagged = true;
             }
             offsets.insert(offset);
@@ -655,25 +654,20 @@ proptest! {
     fn flat_temporal_anchors_decide_as_the_set_based_ones(
         stream in proptest::collection::vec(arb_temporal_request(), 0..65),
     ) {
-        for burned_cookie_persists in [true, false] {
-            for max_offsets_per_ip in 0..=3 {
-                let config = TemporalConfig { max_offsets_per_ip, burned_cookie_persists };
-                let mut reference = SetAnchors::new(config);
-                let mut cookie = CookieAnchor::new(config);
-                let mut ip = IpAnchor::new(config);
-                for (i, r) in stream.iter().enumerate() {
-                    prop_assert_eq!(
-                        cookie.observe(r),
-                        reference.observe_cookie(r),
-                        "cookie flag, request {} under {:?}", i, config
-                    );
-                    prop_assert_eq!(
-                        ip.observe(r),
-                        reference.observe_ip(r),
-                        "address flag, request {} under {:?}", i, config
-                    );
-                }
-            }
+        let mut reference = SetAnchors::new();
+        let mut cookie = CookieAnchor::default();
+        let mut ip = IpAnchor::default();
+        for (i, r) in stream.iter().enumerate() {
+            prop_assert_eq!(
+                cookie.observe(r).is_bot(),
+                reference.observe_cookie(r),
+                "cookie flag, request {}", i
+            );
+            prop_assert_eq!(
+                ip.observe(r).is_bot(),
+                reference.observe_ip(r),
+                "address flag, request {}", i
+            );
         }
     }
 }

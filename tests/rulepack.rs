@@ -96,7 +96,7 @@ fn frozen_arena_verdicts_match_the_deployed_packs_rules() {
 
     let pack = arena.spatial_pack();
     assert_eq!(pack.to_rule_set().content_hash(), pack.hash());
-    let reference = FpInconsistent::from_rules(pack.to_rule_set(), arena.engine().config());
+    let reference = FpInconsistent::from_rules(pack.to_rule_set());
 
     let mut checked = 0usize;
     for _ in 0..3 {

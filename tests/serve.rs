@@ -4,8 +4,8 @@
 //! over-capacity remainder under a flash crowd, and never deadlock.
 
 use fp_honeysite::serve::{
-    SERVE_COLLECTOR_DEPTH_PEAK, SERVE_INGRESS_DEPTH_PEAK, SERVE_REQUESTS_DENIED,
-    SERVE_REQUESTS_SHED, SERVE_SHARD_DEPTH_PEAK,
+    SERVE_COLLECTOR_DEPTH_PEAK, SERVE_INGRESS_DEPTH_PEAK, SERVE_REQUESTS_SHED,
+    SERVE_SHARD_DEPTH_PEAK,
 };
 use fp_honeysite::{FpService, StoredRequest, SubmitOutcome};
 use fp_inconsistent::prelude::*;
@@ -68,13 +68,7 @@ fn varied_requests(count: u64) -> Vec<Request> {
 fn full_chain_site() -> HoneySite {
     let mut site = HoneySite::new();
     site.register_token(sym("serve-tok"));
-    let engine = FpInconsistent::from_rules(
-        RuleSet::new(),
-        fp_inconsistent::core::engine::EngineConfig {
-            generalize_location: true,
-            ..Default::default()
-        },
-    );
+    let engine = FpInconsistent::from_rules(RuleSet::new());
     for d in engine.detectors() {
         site.push_detector(d);
     }
@@ -238,34 +232,6 @@ fn queue_depths_stay_within_their_capacities() {
     }
 }
 
-/// The admission gate runs before enqueue: denied requests never reach a
-/// queue, never consume a cookie, and are counted.
-#[test]
-fn admission_gate_denies_on_the_hot_path() {
-    let registry = Arc::new(MetricsRegistry::new());
-    let mut site = full_chain_site();
-    site.set_metrics(registry.clone());
-    let mut service = site.serve(ServeConfig::with_shards(1));
-    let requests = varied_requests(20);
-    let mut denied = 0u64;
-    for (i, request) in requests.iter().cloned().enumerate() {
-        let outcome = service.submit_with_gate(request, |_, _ip_hash| i % 4 != 0);
-        if i % 4 == 0 {
-            assert_eq!(outcome, SubmitOutcome::Denied);
-            denied += 1;
-        } else {
-            assert_eq!(outcome, SubmitOutcome::Enqueued);
-        }
-    }
-    assert_eq!(service.denied_count(), denied);
-    let store = service.finish().into_store();
-    assert_eq!(store.len(), 20 - denied as usize);
-    assert_eq!(
-        registry.snapshot().counter(SERVE_REQUESTS_DENIED),
-        Some(denied)
-    );
-}
-
 // ---------------------------------------------------------------------
 // Fault: a detector that panics mid-stream must fail every engine the
 // same way — its own panic on the caller's thread — and hang none.
@@ -289,9 +255,6 @@ impl Detector for PanicsOnTenth {
         self.seen += 1;
         assert!(self.seen < 10, "{DETECTOR_FAULT}");
         Verdict::Human
-    }
-    fn reset(&mut self) {
-        self.seen = 0;
     }
     fn fork(&self) -> Box<dyn Detector> {
         Box::new(PanicsOnTenth {

@@ -129,13 +129,7 @@ proptest! {
         let run = |shards: usize| {
             let mut site = HoneySite::new();
             site.register_token(sym("prop-tok"));
-            let engine = FpInconsistent::from_rules(
-                RuleSet::new(),
-                fp_inconsistent::core::engine::EngineConfig {
-                    generalize_location: true,
-                    ..Default::default()
-                },
-            );
+            let engine = FpInconsistent::from_rules(RuleSet::new());
             for d in engine.detectors() {
                 site.push_detector(d);
             }
