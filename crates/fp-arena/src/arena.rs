@@ -318,14 +318,6 @@ impl Arena {
         self.laggard_strategy = Some(strategy);
     }
 
-    /// Give the AI-agent cohort an adaptation strategy (normally a
-    /// [`BehaviouralMutation`]; [`ArenaConfig::agent_humanise`] installs
-    /// one at construction). The agents stay the same truthful fleet —
-    /// only their *pacing* is the strategy's to reshape.
-    pub fn set_agent_strategy(&mut self, strategy: Box<dyn AdaptationStrategy>) {
-        self.agent_strategy = Some(strategy);
-    }
-
     /// The behaviour detector's currently deployed thresholds — the
     /// static defaults until a re-fitting [`BehaviorMember`] publishes a
     /// learned floor. `None` when the arena was built from a
@@ -362,11 +354,6 @@ impl Arena {
     /// The arena's configuration.
     pub fn config(&self) -> &ArenaConfig {
         &self.config
-    }
-
-    /// The base (round-0) campaign.
-    pub fn base_campaign(&self) -> &Campaign {
-        &self.base
     }
 
     /// The defender's stack: member chain and decision policy.

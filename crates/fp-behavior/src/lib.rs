@@ -50,11 +50,17 @@ pub const THRESHOLD_SWAP_NS: &str = "defense_behavior_swap_ns";
 ///
 /// Per-cookie stateful: each observed machine-cadence facet on a cookie
 /// counts toward that cookie's conviction; the verdict turns `Bot` from
-/// the `min_observations`-th machine-paced request onward. Thresholds are
-/// read through a shared [`HotSwap`] slot so a re-fitting
-/// [`BehaviorMember`] publishes new cutoffs without a barrier.
+/// the `min_observations`-th machine-paced request onward. Thresholds
+/// follow the rule-pack discipline: a re-fitting [`BehaviorMember`]
+/// publishes new cutoffs to a shared [`HotSwap`] slot without a barrier,
+/// each detector applies the snapshot it took when it was built or
+/// forked, so forks taken after a re-fit apply the new cutoffs and
+/// in-flight detectors finish on the old ones.
 pub struct BehaviorDetector {
-    thresholds: Arc<HotSwap<BehaviorThresholds>>,
+    /// The slot re-fits publish to; [`Detector::fork`] re-snapshots it.
+    slot: Arc<HotSwap<BehaviorThresholds>>,
+    /// The slot's value when this detector was built or forked.
+    thresholds: BehaviorThresholds,
     /// Machine-cadence observations per cookie (the per-anchor state the
     /// sharded pipeline partitions on).
     machine_obs: HashMap<CookieId, u32>,
@@ -75,17 +81,18 @@ impl BehaviorDetector {
 
     /// A detector tracking a shared threshold slot — what
     /// [`BehaviorMember`] hands each round's chain, so a re-fit published
-    /// between rounds reaches every detector forked afterwards.
-    pub fn tracking(thresholds: Arc<HotSwap<BehaviorThresholds>>) -> BehaviorDetector {
+    /// between rounds reaches every detector built or forked afterwards.
+    pub fn tracking(slot: Arc<HotSwap<BehaviorThresholds>>) -> BehaviorDetector {
         BehaviorDetector {
-            thresholds,
+            thresholds: *slot.load(),
+            slot,
             machine_obs: HashMap::new(),
         }
     }
 
-    /// The thresholds currently applied (a snapshot of the shared slot).
+    /// The thresholds this detector applies (its snapshot of the slot).
     pub fn thresholds(&self) -> BehaviorThresholds {
-        *self.thresholds.load()
+        self.thresholds
     }
 }
 
@@ -101,7 +108,7 @@ impl Detector for BehaviorDetector {
     fn observe(&mut self, request: &StoredRequest) -> Verdict {
         // No pointer-credibility override: a replayed human trajectory
         // forges the per-request read, the session cadence does not.
-        let th = self.thresholds.load();
+        let th = self.thresholds;
         if !th.machine_cadence(&request.cadence) {
             return Verdict::Human;
         }
@@ -111,9 +118,9 @@ impl Detector for BehaviorDetector {
     }
 
     fn fork(&self) -> Box<dyn Detector> {
-        // Fresh per-cookie state, same (shared) thresholds — the shard
-        // fork discipline.
-        Box::new(BehaviorDetector::tracking(self.thresholds.clone()))
+        // Fresh per-cookie state and a fresh snapshot of the shared
+        // slot — the shard fork discipline.
+        Box::new(BehaviorDetector::tracking(self.slot.clone()))
     }
 }
 
@@ -534,14 +541,16 @@ mod tests {
             records: RecordView::from_slice(&window),
             now: SimTime::EPOCH,
         });
-        // The shared slot is intentionally live: the in-flight detector
-        // *reads through* the slot per observation (the chain forks per
-        // round, so within a round no swap happens; across rounds the new
-        // floor is exactly what should apply).
-        for _ in 0..2 {
-            in_flight.observe(&agent);
+        // The in-flight detector finishes on the floor it snapshotted…
+        for i in 0..3 {
+            assert!(!in_flight.observe(&agent).is_bot(), "observation {i}");
         }
-        assert!(in_flight.observe(&agent).is_bot());
+        // …and a fork taken after the re-fit applies the new one.
+        let mut forked = in_flight.fork();
+        for i in 0..2 {
+            assert!(!forked.observe(&agent).is_bot(), "warm-up {i}");
+        }
+        assert!(forked.observe(&agent).is_bot());
     }
 
     #[test]

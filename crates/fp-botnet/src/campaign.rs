@@ -8,7 +8,7 @@
 use crate::realuser::{self, RealUserRequest};
 use crate::service::{self, DesignInfo as ServiceDesign, GeneratedRequest};
 use crate::spec::SERVICES;
-use fp_types::{PrivacyTech, Request, Scale, ServiceId, Symbol};
+use fp_types::{Request, Scale, ServiceId, Symbol};
 
 pub use crate::service::DesignInfo;
 
@@ -25,16 +25,6 @@ impl Default for CampaignConfig {
     fn default() -> Self {
         CampaignConfig {
             scale: Scale::FULL,
-            seed: 0xF9_1C0DE,
-        }
-    }
-}
-
-impl CampaignConfig {
-    /// Test-sized campaign (5 % volume).
-    pub fn test_sized() -> CampaignConfig {
-        CampaignConfig {
-            scale: Scale::test_default(),
             seed: 0xF9_1C0DE,
         }
     }
@@ -150,15 +140,6 @@ impl Campaign {
     /// The TLS-lagging cohort's URL token.
     pub fn tls_laggard_token(&self) -> Symbol {
         crate::cohorts::tls_laggard_token(self.config.seed)
-    }
-
-    /// Generate the §7.5 privacy-technology request sets (not part of the
-    /// bot campaign; separate URLs).
-    pub fn privacy_experiment(&self) -> Vec<(PrivacyTech, Vec<Request>)> {
-        PrivacyTech::ALL
-            .iter()
-            .map(|&tech| (tech, crate::privacy::generate(tech, self.config.seed)))
-            .collect()
     }
 }
 

@@ -9,12 +9,13 @@
 //! * [`serve`] — the continuously running serving layer, the one sharded
 //!   engine ([`HoneySite::serve`] → [`FpService`]): admission and an
 //!   optional gate (TTL blocklist / policy) on the caller's thread, then
-//!   bounded queues, drained in micro-batches, into an enricher and
-//!   per-shard detector workers (partitioned by each detector's
-//!   [`fp_types::StateScope`] anchor) with explicit backpressure (block
-//!   or shed on a full ingress queue) and an in-order collector —
-//!   verdict-for-verdict identical to the sequential loop at any shard
-//!   count. [`HoneySite::ingest_stream`] is its batch driver. Both
+//!   bounded queues, drained in micro-batches, into an enricher and one
+//!   detector worker per core, each hosting the route forks of several
+//!   shards (partitioned by each detector's [`fp_types::StateScope`]
+//!   anchor), with explicit backpressure (block or shed on a full
+//!   ingress queue) and an in-order collector that commits into the
+//!   site's own store — verdict-for-verdict identical to the sequential
+//!   loop at any shard count. [`HoneySite::ingest_stream`] is its batch driver. Both
 //!   engines run the chain through one route kernel (the anchor split,
 //!   the per-shard worker with its sampled detector timing, and the
 //!   chain-order verdict commit).

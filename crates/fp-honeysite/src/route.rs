@@ -14,8 +14,9 @@
 //!   detectors and its private timing histograms, observes records in the
 //!   order it is handed them, and runs the sampled chained-stamp timing
 //!   step (see [`DETECTOR_TIMING_SAMPLE`]). The sharded engine forks one
-//!   worker per shard and route; the sequential engine is one worker over
-//!   the whole chain — one shard on which both routes coincide.
+//!   per shard and route, and each of its threads hosts the forks of
+//!   several shards; the sequential engine is one worker over the whole
+//!   chain — one shard on which both routes coincide.
 //! * [`Routes::commit`] — a request's tagged verdicts from every route,
 //!   recorded in chain order under their interned names.
 //!

@@ -8,15 +8,17 @@
 //! measure. [`HoneySite::ingest_stream`] is a batch driver over the same
 //! service: submit every request, then [`FpService::finish`].
 //!
-//! Topology (one thread per box, one bounded queue per arrow):
+//! Topology (one thread per stage box, one bounded queue per bracket):
 //!
 //! ```text
-//! caller ──submit──▶ [ingress] ──▶ enricher ──▶ [ip shard 0..n]  ──▶ ip workers ──┐
-//!   │                                  │                                          ├─▶ [collector] ─▶ collector ─▶ store
-//!   │ token check                      └─────▶ [cookie shard 0..n] ─▶ ck workers ─┘
+//! caller ──submit──▶ [ingress] ──▶ enricher ──▶ [worker 0..w] ──▶ workers ──▶ [collector] ──▶ collector ──▶ store
+//!   │ token check                      └ one item per route, tagged (route, fork)
 //!   └─ full ingress: Block (wait) or Shed (drop + count)
 //! ```
 //!
+//! * **Threads = cores**: `shards` sets the state partition; the service
+//!   runs `w = min(shards, available_parallelism)` workers, and worker `i`
+//!   drains one queue for both route forks of every shard `s ≡ i (mod w)`.
 //! * **Admission on the hot path**: the caller's thread runs the token
 //!   check (cookie issuance) *before* anything is enqueued — a rejected
 //!   request never costs queue space or a worker's time. A caller that
@@ -36,36 +38,40 @@
 //!   locking and wake-ups would otherwise bound throughput. Capacities
 //!   count items, so each stage holds at most one drained queue's worth
 //!   beyond its queues.
-//! * **Workers never block on each other**: each shard worker blocks
-//!   only on its own input queue and on the collector queue (a sink that
-//!   is always drained). The queue graph is acyclic, so the service
-//!   cannot deadlock.
-//! * **A dying stage never strands the others**: every stage closes the
-//!   queues it consumes (and a shard worker signs off with the collector)
-//!   from a drop guard, on a normal exit and on a panic alike. A push
-//!   into a closed queue drops the items instead of waiting, so a
+//! * **Workers never block on each other**: each worker blocks only on
+//!   its own input queue and on the collector queue (a sink that is
+//!   always drained). The queue graph is acyclic, so the service cannot
+//!   deadlock.
+//! * **Stages stop when their input closes**: [`FpService::finish`]
+//!   closes the ingress queue, and each stage drains its input and exits
+//!   — the enricher closing the worker queues on its way out, `finish`
+//!   closing the collector queue once the enricher and every worker are
+//!   joined. Every stage closes the queues it consumes from a drop guard,
+//!   on a panic too, and a push into a closed queue drops its items, so a
 //!   panicking detector cannot hang `submit`, the collector, `finish` or
-//!   `Drop`; [`FpService::finish`] re-raises the first stage panic.
-//! * **Flag identity with the sequential loop**: the shard workers are
+//!   `Drop`; `finish` re-raises the first stage panic.
+//! * **Flag identity with the sequential loop**: the worker forks are
 //!   the route kernel's, forked over its anchor split; routing uses the
 //!   [`shard_for`] keys, the enricher forwards work in admission order
-//!   (FIFO queues and order-preserving batches keep it per shard), and
+//!   (FIFO queues and order-preserving batches keep it per fork), and
 //!   detectors observe records in the same pre-verdict state (`id == 0`,
 //!   empty verdict set). For any anchor value the observing detector
 //!   fork sees exactly the subsequence the sequential loop would have
 //!   shown it — verdict-for-verdict equivalence at any shard count
 //!   (property-tested in `tests/serve.rs` and `tests/streaming.rs`).
-//! * **In-order commit**: the collector holds a reorder buffer and
-//!   commits records to the store strictly in admission order through
-//!   the kernel's chain-order commit, so dense ids and iteration order
-//!   match the sequential loop.
+//! * **In-order commit into the site's store**: the collector holds a
+//!   reorder ring and commits records strictly in admission order
+//!   through the kernel's chain-order commit, into the store the site
+//!   lends it at `serve` and gets back at `finish`. Dense ids, iteration
+//!   order, epoch seals ([`HoneySite::set_epoch_every`]) and retention
+//!   therefore match the sequential loop while the service runs.
 
 use crate::route::{RouteWorker, TaggedVerdicts};
 use crate::site::{derive_record, HoneySite};
 use crate::store::{RequestStore, StoredRequest};
 use fp_obs::{Counter, Gauge, Histogram};
 use fp_types::{shard_for, CookieId, OverflowPolicy, Request, ServeConfig};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -76,8 +82,8 @@ pub const SERVE_REQUESTS_SHED: &str = "serve_requests_shed";
 /// Registry name of the ingress-queue high-water gauge (set at
 /// [`FpService::finish`]).
 pub const SERVE_INGRESS_DEPTH_PEAK: &str = "serve_ingress_depth_peak";
-/// Registry name of the shard-queue high-water gauge (max over every
-/// per-shard queue; set at [`FpService::finish`]).
+/// Registry name of the worker-queue high-water gauge (max over every
+/// worker's queue; set at [`FpService::finish`]).
 pub const SERVE_SHARD_DEPTH_PEAK: &str = "serve_shard_depth_peak";
 /// Registry name of the collector-queue high-water gauge (set at
 /// [`FpService::finish`]).
@@ -265,40 +271,30 @@ struct IngressItem {
     stamp: Option<Instant>,
 }
 
-/// One enriched record on its way to a shard worker.
+/// One enriched record on its way to a worker, tagged with the route
+/// that decides it and the worker-local fork on that route.
 struct ShardWork {
     seq: u64,
+    route: Route,
+    fork: usize,
     record: Arc<StoredRequest>,
     stamp: Option<Instant>,
 }
 
-/// Which detector route produced a verdict batch.
-#[derive(Clone, Copy, PartialEq, Eq)]
+/// Which detector route a work item rides: indexes a worker's fork pair
+/// and a pending request's verdict pair.
+#[derive(Clone, Copy)]
 enum Route {
-    Ip,
-    Cookie,
+    Ip = 0,
+    Cookie = 1,
 }
 
-/// What shard workers hand the collector.
-enum Collected {
-    Verdicts {
-        seq: u64,
-        route: Route,
-        record: Arc<StoredRequest>,
-        stamp: Option<Instant>,
-        tagged: TaggedVerdicts,
-    },
-    /// One per worker when it exits, panics included; the collector
-    /// exits after `2 * shards`.
-    WorkerDone,
-}
-
-/// One request's state in the collector's reorder buffer.
+/// One request's state in the collector's reorder ring.
 #[derive(Default)]
 struct Pending {
     record: Option<Arc<StoredRequest>>,
-    ip: Option<TaggedVerdicts>,
-    cookie: Option<TaggedVerdicts>,
+    /// Each route's tagged verdicts, indexed by [`Route`].
+    verdicts: [Option<TaggedVerdicts>; 2],
     stamp: Option<Instant>,
 }
 
@@ -308,24 +304,24 @@ struct ServeObs {
     admitted: Arc<Counter>,
     shed: Arc<Counter>,
     ingress_peak: Arc<Gauge>,
-    shard_peak: Arc<Gauge>,
+    worker_peak: Arc<Gauge>,
     collector_peak: Arc<Gauge>,
 }
 
 /// A continuously running honey site: admission on the caller's thread,
-/// enrichment and detection on resident shard workers behind bounded
-/// queues. Built by [`HoneySite::serve`]; torn down (and the site with
-/// its recorded store handed back) by [`FpService::finish`].
+/// enrichment and detection on resident workers behind bounded queues.
+/// Built by [`HoneySite::serve`]; torn down (and the site with its
+/// recorded store handed back) by [`FpService::finish`].
 pub struct FpService {
     /// The site while it serves — admission state (tokens, cookie
-    /// counter, rejection count, metrics) lives here; its store is
-    /// replaced wholesale at `finish`. `Option` only so `finish` can
+    /// counter, rejection count, metrics) lives here; its store is lent
+    /// to the collector until `finish`. `Option` only so `finish` can
     /// move it out past the `Drop` impl.
     site: Option<HoneySite>,
     config: ServeConfig,
     ingress: Arc<BoundedQueue<IngressItem>>,
-    shard_queues: Vec<Arc<BoundedQueue<ShardWork>>>,
-    collector_queue: Arc<BoundedQueue<Collected>>,
+    worker_queues: Vec<Arc<BoundedQueue<ShardWork>>>,
+    collector_queue: Arc<BoundedQueue<(ShardWork, TaggedVerdicts)>>,
     gate: Arc<PauseGate>,
     enricher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
@@ -337,24 +333,27 @@ pub struct FpService {
 
 impl HoneySite {
     /// Start serving: move the site behind a running [`FpService`].
-    /// Requires an empty store (the recorded store is built by the
-    /// service and adopted wholesale at [`FpService::finish`]); each call
-    /// forks fresh detector state from the chain prototypes — a new
-    /// measurement run.
-    pub fn serve(self, config: ServeConfig) -> FpService {
+    /// Requires an empty store, which the service's collector commits
+    /// into — sealing epochs at the [`HoneySite::set_epoch_every`]
+    /// cadence and applying the site's retention as it goes — and hands
+    /// back at [`FpService::finish`]. Each call forks fresh detector
+    /// state from the chain prototypes — a new measurement run.
+    pub fn serve(mut self, config: ServeConfig) -> FpService {
         assert!(
             self.store().is_empty(),
-            "serve() adopts a freshly built store; start from an empty site"
+            "serve() commits from the store's first id; start from an empty site"
         );
         let n = config.shards.max(1);
+        let workers = n.min(std::thread::available_parallelism().map_or(1, |p| p.get()));
         let routes = self.routes().clone();
+        let mut store = self.take_store();
 
         let obs = self.site_metrics().map(|m| ServeObs {
             latency: m.latency_ns.clone(),
             admitted: m.admitted.clone(),
             shed: m.registry.counter(SERVE_REQUESTS_SHED),
             ingress_peak: m.registry.gauge(SERVE_INGRESS_DEPTH_PEAK),
-            shard_peak: m.registry.gauge(SERVE_SHARD_DEPTH_PEAK),
+            worker_peak: m.registry.gauge(SERVE_SHARD_DEPTH_PEAK),
             collector_peak: m.registry.gauge(SERVE_COLLECTOR_DEPTH_PEAK),
         });
         let detector_ns: Vec<Arc<Histogram>> = self
@@ -364,153 +363,135 @@ impl HoneySite {
 
         let ingress: Arc<BoundedQueue<IngressItem>> =
             Arc::new(BoundedQueue::new(config.ingress_capacity));
-        let ip_queues: Vec<Arc<BoundedQueue<ShardWork>>> = (0..n)
+        let worker_queues: Vec<Arc<BoundedQueue<ShardWork>>> = (0..workers)
             .map(|_| Arc::new(BoundedQueue::new(config.shard_capacity)))
             .collect();
-        let cookie_queues: Vec<Arc<BoundedQueue<ShardWork>>> = (0..n)
-            .map(|_| Arc::new(BoundedQueue::new(config.shard_capacity)))
-            .collect();
-        let collector_queue: Arc<BoundedQueue<Collected>> =
-            Arc::new(BoundedQueue::new(config.shard_capacity.max(n * 2)));
+        let collector_queue: Arc<BoundedQueue<(ShardWork, TaggedVerdicts)>> =
+            Arc::new(BoundedQueue::new(config.shard_capacity));
         let gate = Arc::new(PauseGate::new(config.start_paused));
 
         // Enricher: FIFO over the ingress queue, and batches that keep
-        // their order, preserve admission order into every shard queue,
-        // which is what keeps per-anchor subsequences — and therefore
-        // verdicts — identical to the sequential loop.
+        // their order, preserve admission order into every worker queue
+        // and so into every fork, which is what keeps per-anchor
+        // subsequences — and therefore verdicts — identical to the
+        // sequential loop. Shard `s` is fork `s / workers` of worker
+        // `s % workers`.
         let enricher = {
             let ingress = ingress.clone();
-            let ip_queues = ip_queues.clone();
-            let cookie_queues = cookie_queues.clone();
+            let queues = worker_queues.clone();
             let gate = gate.clone();
             std::thread::spawn(move || {
                 let _close = OnExit(|| {
                     ingress.close();
-                    for q in ip_queues.iter().chain(cookie_queues.iter()) {
-                        q.close();
-                    }
+                    queues.iter().for_each(|q| q.close());
                 });
                 let mut batch = VecDeque::new();
-                let mut ip_out: Vec<Vec<ShardWork>> = (0..n).map(|_| Vec::new()).collect();
-                let mut cookie_out: Vec<Vec<ShardWork>> = (0..n).map(|_| Vec::new()).collect();
+                let mut outs: Vec<Vec<ShardWork>> = (0..workers).map(|_| Vec::new()).collect();
                 gate.wait_open();
                 while ingress.pop_all(&mut batch) {
                     for item in batch.drain(..) {
                         let record = Arc::new(derive_record(&item.request, item.cookie));
-                        ip_out[shard_for(item.ip_hash, n)].push(ShardWork {
+                        let work = |route, shard: usize, record| ShardWork {
                             seq: item.seq,
-                            record: record.clone(),
-                            stamp: item.stamp,
-                        });
-                        cookie_out[shard_for(item.cookie, n)].push(ShardWork {
-                            seq: item.seq,
+                            route,
+                            fork: shard / workers,
                             record,
                             stamp: item.stamp,
-                        });
+                        };
+                        let ip = shard_for(item.ip_hash, n);
+                        let cookie = shard_for(item.cookie, n);
+                        outs[ip % workers].push(work(Route::Ip, ip, record.clone()));
+                        outs[cookie % workers].push(work(Route::Cookie, cookie, record));
                     }
-                    let outs = ip_out.iter_mut().chain(cookie_out.iter_mut());
-                    for (queue, out) in ip_queues.iter().chain(cookie_queues.iter()).zip(outs) {
+                    for (queue, out) in queues.iter().zip(&mut outs) {
                         queue.push_batch(out);
                     }
                 }
             })
         };
 
-        // Shard workers: one kernel route worker each, observing in queue
-        // (= admission) order and forwarding tagged verdicts. A worker
-        // blocks only on its own input queue and the collector sink —
-        // never on another worker.
-        let mut workers = Vec::with_capacity(2 * n);
-        for (route, positions, queues) in [
-            (Route::Ip, routes.ip(), &ip_queues),
-            (Route::Cookie, routes.cookie(), &cookie_queues),
-        ] {
-            for queue in queues.iter() {
-                let mut worker = RouteWorker::fork(self.chain(), positions, obs.is_some());
+        // Workers: each owns the IP-route and cookie-route forks of the
+        // shards it hosts, observes in queue (= admission) order and
+        // forwards tagged verdicts. A worker blocks only on its own
+        // input queue and the collector sink — never on another worker.
+        let workers: Vec<JoinHandle<()>> = worker_queues
+            .iter()
+            .enumerate()
+            .map(|(w, queue)| {
+                let timed = obs.is_some();
+                let mut forks: Vec<[RouteWorker; 2]> = (w..n)
+                    .step_by(workers)
+                    .map(|_| {
+                        [routes.ip(), routes.cookie()]
+                            .map(|route| RouteWorker::fork(self.chain(), route, timed))
+                    })
+                    .collect();
                 let detector_ns = detector_ns.clone();
                 let queue = queue.clone();
                 let sink = collector_queue.clone();
-                workers.push(std::thread::spawn(move || {
-                    // Sign off however this worker exits: a worker that
-                    // died without its `WorkerDone` would leave the
-                    // collector (and `finish`) waiting forever, and its
-                    // full input queue would block the enricher.
-                    let _sign_off = OnExit(|| {
-                        queue.close();
-                        sink.push_block(Collected::WorkerDone);
-                    });
+                std::thread::spawn(move || {
+                    let _close = OnExit(|| queue.close());
                     let mut batch = VecDeque::new();
                     let mut out = Vec::new();
                     while queue.pop_all(&mut batch) {
                         for work in batch.drain(..) {
-                            let tagged = worker.observe(work.seq, &work.record);
-                            out.push(Collected::Verdicts {
-                                seq: work.seq,
-                                route,
-                                record: work.record,
-                                stamp: work.stamp,
-                                tagged,
-                            });
+                            let fork = &mut forks[work.fork][work.route as usize];
+                            let tagged = fork.observe(work.seq, &work.record);
+                            out.push((work, tagged));
                         }
                         sink.push_batch(&mut out);
                     }
-                    worker.flush(&detector_ns);
-                }));
-            }
-        }
+                    for fork in forks.iter_mut().flatten() {
+                        fork.flush(&detector_ns);
+                    }
+                })
+            })
+            .collect();
 
-        // Collector: reorder buffer + in-order commit. The store is
-        // built here (dense ids assigned at push, in admission order)
-        // and handed back at `finish`.
+        // Collector: reorder ring + in-order commit into the site's
+        // store (dense ids assigned at push, in admission order; epochs
+        // sealed at the store's cadence), handed back at `finish`.
         let collector = {
             let queue = collector_queue.clone();
             let latency = obs.as_ref().map(|o| o.latency.clone());
             std::thread::spawn(move || {
                 let _close = OnExit(|| queue.close());
-                let mut store = RequestStore::new();
-                let mut pending: HashMap<u64, Pending> = HashMap::new();
+                // Slot `i` holds admission `next + i`; requests in flight
+                // upstream bound its length.
+                let mut pending: VecDeque<Pending> = VecDeque::new();
                 let mut batch = VecDeque::new();
                 let mut next = 0u64;
-                let mut done = 0usize;
-                while done < 2 * n {
-                    let open = queue.pop_all(&mut batch);
-                    assert!(open, "only the collector closes its own queue");
-                    for collected in batch.drain(..) {
-                        match collected {
-                            Collected::WorkerDone => done += 1,
-                            Collected::Verdicts {
-                                seq,
-                                route,
-                                record,
-                                stamp,
-                                tagged,
-                            } => {
-                                let entry = pending.entry(seq).or_default();
-                                match route {
-                                    Route::Ip => entry.ip = Some(tagged),
-                                    Route::Cookie => entry.cookie = Some(tagged),
-                                }
-                                // Both routes carry a handle on the record:
-                                // the second one is dropped right here, so
-                                // the commit below holds the only one and
-                                // takes the record without copying it.
-                                entry.record.get_or_insert(record);
-                                entry.stamp = entry.stamp.or(stamp);
-                            }
+                while queue.pop_all(&mut batch) {
+                    for (work, tagged) in batch.drain(..) {
+                        let slot = (work.seq - next) as usize;
+                        if slot >= pending.len() {
+                            pending.resize_with(slot + 1, Pending::default);
                         }
+                        let entry = &mut pending[slot];
+                        entry.verdicts[work.route as usize] = Some(tagged);
+                        // Both routes carry a handle on the record: the
+                        // second one is dropped right here, so the commit
+                        // below holds the only one and takes the record
+                        // without copying it.
+                        entry.record.get_or_insert(work.record);
+                        entry.stamp = work.stamp;
                     }
                     while pending
-                        .get(&next)
-                        .is_some_and(|e| e.ip.is_some() && e.cookie.is_some())
+                        .front()
+                        .is_some_and(|e| e.verdicts.iter().all(Option::is_some))
                     {
-                        let e = pending.remove(&next).expect("checked above");
-                        let arc = e.record.expect("every verdict carries its record");
+                        let Pending {
+                            record,
+                            verdicts: [ip, cookie],
+                            stamp,
+                        } = pending.pop_front().expect("checked above");
+                        let arc = record.expect("every verdict carries its record");
                         let mut record =
                             Arc::into_inner(arc).expect("both routes handed their handles back");
-                        let mut tagged = e.ip.expect("checked above");
-                        tagged.extend(e.cookie.expect("checked above"));
+                        let mut tagged = ip.expect("checked above");
+                        tagged.extend(cookie.expect("checked above"));
                         routes.commit(&mut record, tagged);
-                        if let (Some(h), Some(stamp)) = (&latency, e.stamp) {
+                        if let (Some(h), Some(stamp)) = (&latency, stamp) {
                             h.record(stamp.elapsed().as_nanos() as u64);
                         }
                         store.push(record);
@@ -526,7 +507,7 @@ impl HoneySite {
             site: Some(self),
             config,
             ingress,
-            shard_queues: ip_queues.into_iter().chain(cookie_queues).collect(),
+            worker_queues,
             collector_queue,
             gate,
             enricher: Some(enricher),
@@ -538,7 +519,7 @@ impl HoneySite {
         }
     }
 
-    /// Ingest a whole request stream on `shards` worker shards: serve it
+    /// Ingest a whole request stream over `shards` state shards: serve it
     /// with [`ServeConfig::with_shards`], submitting every request, then
     /// [`FpService::finish`].
     ///
@@ -621,29 +602,24 @@ impl FpService {
         self.shed
     }
 
-    /// Drain and stop: close the intake, join every stage, adopt the
-    /// collector's store and hand the site back (rejection counts,
-    /// cookie state, metrics and retention all preserved). Implicitly
-    /// resumes a paused service first — queued work always completes.
+    /// Drain and stop: close the intake, join every stage and hand the
+    /// site back with its store (rejection counts, cookie state, metrics,
+    /// epochs and retention all preserved). Implicitly resumes a paused
+    /// service first — queued work always completes.
     ///
     /// # Panics
     ///
     /// Re-raises the first panic of any stage (in pipeline order:
-    /// enricher, shard workers, collector) — e.g. a faulty detector's —
-    /// once every stage has stopped.
+    /// enricher, workers, collector) — e.g. a faulty detector's — once
+    /// every stage has stopped.
     pub fn finish(mut self) -> HoneySite {
         let store = self
             .stop()
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
         if let Some(o) = &self.obs {
             o.ingress_peak.set(self.ingress.peak() as i64);
-            let shard_peak = self
-                .shard_queues
-                .iter()
-                .map(|q| q.peak())
-                .max()
-                .unwrap_or(0);
-            o.shard_peak.set(shard_peak as i64);
+            let worker_peak = self.worker_queues.iter().map(|q| q.peak()).max();
+            o.worker_peak.set(worker_peak.unwrap_or(0) as i64);
             o.collector_peak.set(self.collector_queue.peak() as i64);
         }
         let mut site = self.site.take().expect("site present until finish");
@@ -651,10 +627,13 @@ impl FpService {
         site
     }
 
-    /// Open the gate, close the intake and join every stage; the
-    /// collector's store, or the first stage panic in pipeline order.
-    /// Every join returns: each stage closes its queues on exit (see
-    /// [`OnExit`]), so a dead stage never strands a live one.
+    /// Stop every stage by closing its input, upstream first: open the
+    /// gate, close the intake, join the enricher (which closes the worker
+    /// queues) and the workers, then close the collector queue and join
+    /// the collector. Returns the site's store, or the first stage panic
+    /// in pipeline order. Every join returns: each stage also closes the
+    /// queues it consumes on exit (see [`OnExit`]), so a dead stage never
+    /// strands a live one.
     fn stop(&mut self) -> std::thread::Result<RequestStore> {
         self.gate.open();
         self.ingress.close();
@@ -669,6 +648,7 @@ impl FpService {
                 first_panic.get_or_insert(panic);
             }
         }
+        self.collector_queue.close();
         let collected = self
             .collector
             .take()
@@ -781,27 +761,39 @@ mod tests {
     }
 
     #[test]
-    fn stream_adoption_keeps_the_sites_retention_policy() {
+    fn served_sites_seal_and_retain_like_the_sequential_loop() {
         use fp_types::RetentionPolicy;
-        let mut site = fresh_site();
-        site.set_retention(RetentionPolicy::SlidingWindow { epochs: 1 });
-        site.ingest_stream(requests(30), 2);
-        assert_eq!(
-            site.store().retention(),
-            RetentionPolicy::SlidingWindow { epochs: 1 },
-            "the adopted store must inherit the configured policy"
-        );
-        // The documented streaming recipe — seal after the call — must
-        // enforce the configured window, not silently KeepAll.
-        site.seal_epoch();
-        assert_eq!(
-            site.store().len(),
-            30,
-            "one sealed epoch: inside the window"
-        );
-        let second = site.seal_epoch();
-        assert_eq!(second.records_evicted, 30, "the next seal ages it out");
-        assert!(site.store().is_empty());
+        let windowed = || {
+            let mut site = fresh_site();
+            site.set_retention(RetentionPolicy::SlidingWindow { epochs: 2 });
+            site.set_epoch_every(4);
+            site
+        };
+        let ids = |site: &HoneySite| site.store().iter().map(|r| r.id).collect::<Vec<_>>();
+        let reqs = requests(30);
+        let mut sequential = windowed();
+        sequential.ingest_all(reqs.clone());
+        assert_eq!(sequential.store().stats().epochs_sealed, 7);
+        for shards in [1, 2, 8] {
+            let mut served = windowed();
+            served.ingest_stream(reqs.clone(), shards);
+            assert_eq!(
+                served.store().stats(),
+                sequential.store().stats(),
+                "{shards} shards"
+            );
+            assert_eq!(ids(&served), ids(&sequential), "{shards} shards");
+        }
+    }
+
+    #[test]
+    fn the_service_runs_one_worker_per_core_at_most() {
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        for shards in [1, 2, 8] {
+            let service = fresh_site().serve(ServeConfig::with_shards(shards));
+            assert_eq!(service.workers.len(), shards.min(cores), "{shards} shards");
+            service.finish();
+        }
     }
 
     #[test]

@@ -77,15 +77,6 @@ pub struct HoneySite {
     /// would judge stateful detectors from empty history. Guarded with an
     /// assert instead of silently mis-scoring.
     streamed: bool,
-    /// Single-shot epoch cadence: with `Some(n)`, sequential ingest seals
-    /// a store epoch every `n` admitted requests, so a long-running site
-    /// under a bounding [`fp_types::RetentionPolicy`] holds peak resident
-    /// records steady instead of growing forever. `None` (default): the
-    /// caller seals (the arena does, once per round) or nothing does (the
-    /// exact pre-refactor single-segment behaviour).
-    epoch_every: Option<usize>,
-    /// Admitted records since the last seal (drives `epoch_every`).
-    since_seal: usize,
     /// Instrument handles, when a registry is attached. `None` (default)
     /// is the bare site: no timing reads, no counter bumps.
     metrics: Option<SiteMetrics>,
@@ -122,8 +113,6 @@ impl HoneySite {
             cookie_counter: 0,
             rejected: 0,
             streamed: false,
-            epoch_every: None,
-            since_seal: 0,
             metrics: None,
         }
     }
@@ -173,19 +162,21 @@ impl HoneySite {
         self.store.set_retention(policy);
     }
 
-    /// Seal a store epoch automatically every `n` admitted requests of
-    /// sequential ingest — single-shot mode's analogue of the arena's
-    /// seal-per-round. Pass through [`HoneySite::seal_epoch`] to seal by
-    /// hand instead. (The streaming path adopts its store wholesale as
-    /// one epoch; seal after the call if segmenting is wanted.)
+    /// Seal a store epoch automatically every `n` admitted requests
+    /// (`0`, the default, never does) — single-shot mode's analogue of
+    /// the arena's seal-per-round, so a long-running site under a
+    /// bounding [`fp_types::RetentionPolicy`] holds peak resident records
+    /// steady instead of growing forever. The store seals as it commits,
+    /// so the sequential loop and [`HoneySite::serve`] seal at the same
+    /// records and retain the same ones. [`HoneySite::seal_epoch`] seals
+    /// by hand.
     pub fn set_epoch_every(&mut self, n: usize) {
-        self.epoch_every = (n > 0).then_some(n);
+        self.store.set_epoch_every(n);
     }
 
     /// Close the store's active epoch now and apply retention; returns
     /// the seal's eviction report.
     pub fn seal_epoch(&mut self) -> fp_types::SegmentStats {
-        self.since_seal = 0;
         self.store.seal_epoch()
     }
 
@@ -255,12 +246,6 @@ impl HoneySite {
             m.admitted.inc();
             m.latency_ns.record(start.elapsed().as_nanos() as u64);
         }
-        if let Some(n) = self.epoch_every {
-            self.since_seal += 1;
-            if self.since_seal >= n {
-                self.seal_epoch();
-            }
-        }
         Some(id)
     }
 
@@ -281,18 +266,15 @@ impl HoneySite {
         &self.store
     }
 
-    /// Replace the store (the serving layer's hand-over at `finish`) and
-    /// mark the site as stream-ingested (see the `streamed` field). The
-    /// site's configured retention policy carries over to the adopted
-    /// store — the service builds a single-epoch store and knows nothing
-    /// of the site's bounding choices.
-    pub(crate) fn set_store(&mut self, mut store: RequestStore) {
-        store.set_retention(self.store.retention());
-        if let Some(m) = &self.metrics {
-            // The adopted store inherits the attached registry too, so
-            // seal/eviction instruments keep recording after a stream run.
-            store.set_metrics(&m.registry);
-        }
+    /// Lend the store to the serving collector, which commits into it
+    /// with its retention, cadence and metrics as configured.
+    pub(crate) fn take_store(&mut self) -> RequestStore {
+        std::mem::take(&mut self.store)
+    }
+
+    /// Take the lent store back at `finish` and mark the site as
+    /// stream-ingested (see the `streamed` field).
+    pub(crate) fn set_store(&mut self, store: RequestStore) {
         self.store = store;
         self.streamed = true;
     }

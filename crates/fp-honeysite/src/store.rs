@@ -4,12 +4,13 @@
 //! workspace-wide detector contract observes); this module keeps the
 //! campaign store. Since the bounded-memory refactor the store is a list
 //! of **epoch segments**: records append into the active segment,
-//! [`RequestStore::seal_epoch`] closes it (one seal per arena round, or
-//! per N requests in single-shot mode) and applies the store's
-//! [`RetentionPolicy`] to the sealed history. A segment is its epoch, its
-//! identity and its records, so eviction drops a segment wholesale: no
-//! tombstones, no cross-segment bookkeeping. A never-sealed store is
-//! exactly the pre-refactor single-segment store.
+//! [`RequestStore::seal_epoch`] closes it and applies the store's
+//! [`RetentionPolicy`] to the sealed history: once per arena round, or
+//! from [`RequestStore::push`] every N records under a single-shot
+//! site's cadence, which both ingest engines therefore share. A segment
+//! is its epoch, its identity and its records, so eviction drops a
+//! segment wholesale: no tombstones, no cross-segment bookkeeping. A
+//! never-sealed store is exactly the pre-refactor single-segment store.
 //!
 //! The store keeps records, not indexes. Every detector keeps its own
 //! anchor state, so the only per-device query of the dataset is Figure
@@ -112,6 +113,9 @@ pub struct RequestStore {
     /// The reference epoch retention was last applied for — lets a seal
     /// skip the pass [`RequestStore::evict_ahead`] already paid.
     retained_through: Option<Epoch>,
+    /// Seal once the active epoch holds this many records (`None`: only
+    /// an explicit [`RequestStore::seal_epoch`] seals).
+    epoch_every: Option<usize>,
     /// Retention instruments, when a registry is attached.
     metrics: Option<StoreMetrics>,
 }
@@ -132,6 +136,7 @@ impl RequestStore {
             next_id: 0,
             stats: SegmentStats::default(),
             retained_through: None,
+            epoch_every: None,
             metrics: None,
         }
     }
@@ -181,12 +186,25 @@ impl RequestStore {
         &self.stats
     }
 
-    /// Append a record (assigns the dense id).
+    /// Seal automatically once the active epoch holds `n` records (`0`
+    /// turns it off).
+    pub(crate) fn set_epoch_every(&mut self, n: usize) {
+        self.epoch_every = (n > 0).then_some(n);
+    }
+
+    /// Append a record (assigns the dense id), sealing the epoch when it
+    /// reaches the configured size.
     pub fn push(&mut self, mut record: StoredRequest) -> RequestId {
         let id = self.next_id;
         self.next_id += 1;
         record.id = id;
         self.active.records.push(record);
+        if self
+            .epoch_every
+            .is_some_and(|n| self.active.records.len() >= n)
+        {
+            self.seal_epoch();
+        }
         id
     }
 

@@ -52,11 +52,6 @@ impl AsnBlocklist {
     pub fn is_flagged(asn: &AsnRecord) -> bool {
         matches!(asn.class, AsnClass::CloudDatacenter | AsnClass::TorExit)
     }
-
-    /// Convenience: flag by address.
-    pub fn flags_ip(ip: Ipv4Addr) -> bool {
-        Self::is_flagged(NetDb::lookup(ip).asn)
-    }
 }
 
 /// Per-address reputation blocklist with partial, class-dependent coverage.

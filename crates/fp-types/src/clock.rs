@@ -114,11 +114,6 @@ impl SimClock {
         }
     }
 
-    /// A clock starting at `t`.
-    pub fn starting_at(t: SimTime) -> SimClock {
-        SimClock { now: t }
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now

@@ -65,11 +65,6 @@ impl ComponentHash {
         ComponentHash(raw)
     }
 
-    /// The raw 128-bit value.
-    pub fn as_u128(self) -> u128 {
-        self.0
-    }
-
     /// The 12-hex-digit prefix — what report columns print.
     pub fn short(self) -> String {
         format!("{:012x}", self.0 >> 80)
@@ -101,11 +96,6 @@ impl FromStr for ComponentHash {
 pub struct RunFingerprint(u128);
 
 impl RunFingerprint {
-    /// The raw 128-bit value.
-    pub fn as_u128(self) -> u128 {
-        self.0
-    }
-
     /// The 12-hex-digit prefix — what report columns print.
     pub fn short(self) -> String {
         format!("{:012x}", self.0 >> 80)

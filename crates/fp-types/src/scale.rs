@@ -21,11 +21,6 @@ impl Scale {
         Scale(r)
     }
 
-    /// Default test scale: 5% (~25k bot requests).
-    pub fn test_default() -> Scale {
-        Scale(0.05)
-    }
-
     /// Apply to a request count (rounds up, never below 1).
     pub fn apply(self, count: u64) -> u64 {
         if count == 0 {

@@ -1,6 +1,6 @@
 //! Configuration for the continuous serving layer.
 //!
-//! The serving layer (`fp-honeysite`'s `serve` module) keeps shard
+//! The serving layer (`fp-honeysite`'s `serve` module) keeps detector
 //! workers running behind bounded queues so requests are admitted one at
 //! a time, the way a deployed honey site sees them; the batch
 //! `ingest_stream` drives the same service over a finished request list.
@@ -29,20 +29,22 @@ pub enum OverflowPolicy {
 /// and test fixtures without ceremony.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Detector shard count per route (IP-scoped and cookie-scoped
-    /// detectors each get this many workers). Routing keys on
+    /// State shards per route: IP-scoped and cookie-scoped detectors
+    /// each get this many forks. Routing keys on
     /// [`shard_for`](crate::shard_for) of each detector's state anchor,
     /// so flag identity with the sequential path holds at any shard
-    /// count.
+    /// count. The thread count does not follow it: the service runs
+    /// `min(shards, available_parallelism)` workers, and worker `i`
+    /// hosts both routes' forks of every shard `s` with `s % workers == i`.
     pub shards: usize,
     /// Capacity of the ingress queue between the submitting caller and
     /// the enricher thread. This is the queue the overflow policy
     /// applies to: the sole intake gate, sized for the burst the
     /// service will absorb before backpressure.
     pub ingress_capacity: usize,
-    /// Capacity of each per-shard work queue and of the collector
-    /// queue. Shard queues only ever block the enricher (never another
-    /// shard worker), keeping workers independent.
+    /// Capacity of each worker's queue and of the collector queue.
+    /// Worker queues only ever block the enricher (never another
+    /// worker), keeping workers independent.
     pub shard_capacity: usize,
     /// What `submit` does when the ingress queue is full.
     pub overflow: OverflowPolicy,
@@ -56,7 +58,7 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// A serving config with the given shard count and generous
-    /// defaults: 4096-deep ingress and 1024-deep shard queues (the
+    /// defaults: 4096-deep ingress and 1024-deep worker queues (the
     /// benchmark's serving shape, and what `ingest_stream` runs with),
     /// blocking overflow, not paused.
     pub fn with_shards(shards: usize) -> ServeConfig {

@@ -43,11 +43,6 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 pub struct PackHash(u128);
 
 impl PackHash {
-    /// The raw 128-bit value.
-    pub fn as_u128(self) -> u128 {
-        self.0
-    }
-
     /// The 12-hex-digit prefix — what report columns print.
     pub fn short(self) -> String {
         format!("{:012x}", self.0 >> 80)

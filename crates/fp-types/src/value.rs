@@ -124,21 +124,6 @@ impl AttrValue {
         }
         Some(s.split(',').collect())
     }
-
-    /// A numeric projection used by `fp-ml` for split finding: every value
-    /// maps to *some* f64 (symbols map through their interner index, which is
-    /// stable within a run; categorical splits handle them properly, this is
-    /// only the fallback ordering).
-    pub fn numeric_projection(&self) -> f64 {
-        match self {
-            AttrValue::Missing => f64::NAN,
-            AttrValue::Bool(b) => f64::from(u8::from(*b)),
-            AttrValue::Int(i) => *i as f64,
-            AttrValue::Milli(m) => *m as f64 / 1000.0,
-            AttrValue::Sym(s) => f64::from(s.index()),
-            AttrValue::Resolution(w, h) => f64::from(*w) * 65536.0 + f64::from(*h),
-        }
-    }
 }
 
 impl fmt::Display for AttrValue {

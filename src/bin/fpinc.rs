@@ -20,31 +20,38 @@ use std::collections::HashMap;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 
+/// A command's handler over its parsed `--key value` options.
+type Command = fn(&HashMap<String, String>) -> Result<(), String>;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let opts = match parse_opts(&args[1..]) {
+    // Each command names the option keys it takes; any other key fails.
+    let (keys, run): (&[&str], Command) = match command.as_str() {
+        "generate" => (&["scale", "seed", "out"], cmd_generate),
+        "mine" => (&["data", "out"], cmd_mine),
+        "apply" => (&["data", "rules"], cmd_apply),
+        "report" => (&["scale", "seed"], cmd_report),
+        "help" | "--help" | "-h" => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        other => {
+            eprintln!("error: unknown command {other:?}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let opts = match parse_opts(&args[1..], keys) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
-    let result = match command.as_str() {
-        "generate" => cmd_generate(&opts),
-        "mine" => cmd_mine(&opts),
-        "apply" => cmd_apply(&opts),
-        "report" => cmd_report(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}")),
-    };
-    match result {
+    match run(&opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -63,18 +70,21 @@ USAGE:
 
 OPTIONS:
   --scale F    campaign volume as a fraction of the paper's 507,080 (default 0.05)
-  --seed N     campaign seed (default 0xF91C0DE)
+  --seed N     campaign seed, decimal or 0x hex (default 0xF91C0DE)
   --data FILE  dataset produced by `fpinc generate`
   --rules FILE filter list produced by `fpinc mine`
   --out FILE   output path";
 
-fn parse_opts(args: &[String]) -> Result<HashMap<String, String>, String> {
+fn parse_opts(args: &[String], keys: &[&str]) -> Result<HashMap<String, String>, String> {
     let mut opts = HashMap::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let key = flag
             .strip_prefix("--")
             .ok_or_else(|| format!("expected --flag, got {flag:?}"))?;
+        if !keys.contains(&key) {
+            return Err(format!("unknown option --{key}"));
+        }
         let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
         opts.insert(key.to_owned(), value.clone());
     }
@@ -98,7 +108,11 @@ fn scale_of(opts: &HashMap<String, String>) -> Result<Scale, String> {
 fn seed_of(opts: &HashMap<String, String>) -> Result<u64, String> {
     match opts.get("seed") {
         None => Ok(0xF91C0DE),
-        Some(s) => s.parse().map_err(|_| format!("bad --seed {s:?}")),
+        Some(s) => match s.strip_prefix("0x") {
+            Some(hex) => u64::from_str_radix(hex, 16),
+            None => s.parse(),
+        }
+        .map_err(|_| format!("bad --seed {s:?}")),
     }
 }
 

@@ -88,3 +88,52 @@ fn generate_rejects_a_scale_above_one() {
     );
     assert!(!out.exists());
 }
+
+/// A misspelled option fails instead of being ignored.
+#[test]
+fn generate_rejects_an_unknown_option() {
+    let out = tmp_path("misspelled.jsonl");
+    fails_with(
+        &fpinc(&[
+            "generate",
+            "--scale",
+            "0.005",
+            "--sede",
+            "7",
+            "--out",
+            out.to_str().unwrap(),
+        ]),
+        "unknown option --sede",
+    );
+    assert!(!out.exists());
+}
+
+/// The usage gives the default seed in hex; passing it that way must
+/// write exactly the default campaign.
+#[test]
+fn a_hex_seed_reads_as_its_value() {
+    let hex = tmp_path("hex-seed.jsonl");
+    let default = tmp_path("default-seed.jsonl");
+    stdout(&fpinc(&[
+        "generate",
+        "--scale",
+        "0.005",
+        "--seed",
+        "0xF91C0DE",
+        "--out",
+        hex.to_str().unwrap(),
+    ]));
+    stdout(&fpinc(&[
+        "generate",
+        "--scale",
+        "0.005",
+        "--out",
+        default.to_str().unwrap(),
+    ]));
+    assert_eq!(
+        std::fs::read(&hex).unwrap(),
+        std::fs::read(&default).unwrap()
+    );
+    std::fs::remove_file(hex).unwrap();
+    std::fs::remove_file(default).unwrap();
+}

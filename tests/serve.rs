@@ -175,7 +175,7 @@ fn block_overflow_completes_everything_through_tiny_queues() {
 
 /// Bounded memory: no queue ever holds more than its capacity. A paused
 /// service fills its ingress queue, then the enricher drains all of it
-/// at once and forwards 64-request batches into 2-deep shard queues —
+/// at once and forwards 64-request batches into 2-deep worker queues —
 /// every hand-off runs the chunked wait-for-room path.
 #[test]
 fn queue_depths_stay_within_their_capacities() {
@@ -206,14 +206,12 @@ fn queue_depths_stay_within_their_capacities() {
         let snap = registry.snapshot();
         let peak = |name: &str| snap.gauge(name).expect("depth gauges are set at finish");
         // Filled to capacity and never past it: the paused intake holds
-        // every submission, and each shard queue takes its batch in
+        // every submission, and each worker queue takes its batch in
         // 2-item chunks.
         assert_eq!(peak(SERVE_INGRESS_DEPTH_PEAK), INGRESS as i64);
         assert_eq!(peak(SERVE_SHARD_DEPTH_PEAK), SHARD as i64);
-        // The collector queue holds `shard_capacity`, or one sign-off per
-        // worker if that is more.
-        let collector_capacity = SHARD.max(2 * shards) as i64;
-        assert!(peak(SERVE_COLLECTOR_DEPTH_PEAK) <= collector_capacity);
+        // The collector queue holds `shard_capacity` too.
+        assert!(peak(SERVE_COLLECTOR_DEPTH_PEAK) <= SHARD as i64);
 
         let ids: Vec<u64> = served.iter().map(|r| r.id).collect();
         assert_eq!(
@@ -288,9 +286,9 @@ fn panic_of(engine: impl FnOnce() + Send + 'static) -> Option<String> {
         .expect("an engine hung on a panicking detector")
 }
 
-/// The regression for the serving hang: a dead shard worker used to
-/// leave the collector, `finish` and `Drop` waiting forever (and, under
-/// Block, `submit` once its queue filled). Tiny queues make the old hang
+/// The regression for the serving hang: a dead worker used to leave the
+/// collector, `finish` and `Drop` waiting forever (and, under Block,
+/// `submit` once its queue filled). Tiny queues make the old hang
 /// certain; both routes and both shard counts are covered.
 #[test]
 fn a_panicking_detector_fails_every_engine_without_hanging() {
