@@ -49,7 +49,7 @@ use fp_inconsistent_core::defense::{ChurnLedger, RoundChurn, SpatialMember};
 use fp_inconsistent_core::evaluate::{self, MutationStats, RoundStats, TrajectoryReport};
 use fp_inconsistent_core::{FpInconsistent, MineConfig, PackSlot, RulePack};
 use fp_netsim::{NetDb, TtlBlocklist};
-use fp_obs::{MetricsRegistry, RoundObs};
+use fp_obs::{Histogram, MetricsRegistry, RoundObs};
 use fp_types::defense::{
     DecisionContext, DecisionPolicy, Frozen, ResponsePolicy, DEFAULT_BLOCK_TTL_SECS,
 };
@@ -65,6 +65,11 @@ use std::time::Instant;
 
 /// Simulated seconds per arena round (one full campaign window).
 pub const ROUND_SECS: u64 = STUDY_DAYS as u64 * 86_400;
+
+/// Registry name of the histogram timing each round's traffic build:
+/// regeneration of the adversarial fleet, the strategies' rewrites and
+/// the replay of the truthful populations (one sample per round).
+pub const ROUND_GENERATE_NS: &str = "arena_round_generate_ns";
 
 /// Visible-failure trigger for the [`ArenaConfig::agent_humanise`]
 /// preset's [`BehaviouralMutation`]: low enough that a blocking policy's
@@ -182,6 +187,8 @@ pub struct Arena {
     /// [`RoundStats::obs`]; the registry itself accumulates campaign
     /// totals.
     registry: Arc<MetricsRegistry>,
+    /// [`ROUND_GENERATE_NS`] in `registry`.
+    generate_ns: Arc<Histogram>,
     round: u32,
 }
 
@@ -279,6 +286,7 @@ impl Arena {
             }),
             behavior_slot: None,
             trajectory: TrajectoryReport::new(),
+            generate_ns: registry.histogram(ROUND_GENERATE_NS),
             registry,
             round: 0,
         }
@@ -488,7 +496,10 @@ impl Arena {
         // though the registry accumulates across the campaign.
         let wall_start = Instant::now();
         let obs_before = self.registry.snapshot();
+        let generate_start = Instant::now();
         let (stream, mutation) = self.round_stream(round);
+        self.generate_ns
+            .record(generate_start.elapsed().as_nanos() as u64);
 
         // Admission + detection under the stack's current chain: the
         // TTL-blocklist check per request, then sharded ingest
@@ -1054,6 +1065,20 @@ mod tests {
             .sum();
         assert_eq!(per_round, admitted_total);
         assert!(r0.stats.obs.wall_ns > 0, "rounds take wall time");
+
+        // The traffic build is timed once per round, inside the round.
+        assert_eq!(totals.histogram(ROUND_GENERATE_NS).unwrap().count(), 2);
+        for r in [&r0, &r1] {
+            let generate = r.stats.obs.snapshot.histogram(ROUND_GENERATE_NS).unwrap();
+            assert_eq!(generate.count(), 1, "one traffic build per round");
+            assert!(
+                generate.sum <= r.stats.obs.wall_ns,
+                "round {}: the traffic build ({} ns) fits in the round ({} ns)",
+                r.round,
+                generate.sum,
+                r.stats.obs.wall_ns
+            );
+        }
 
         // …and none of it moved the fingerprint: stepping changed the
         // behaviour component (rounds were played), but an identical

@@ -53,7 +53,7 @@
 pub mod arena;
 pub mod strategy;
 
-pub use arena::{Arena, ArenaConfig, RoundResult, ROUND_SECS};
+pub use arena::{Arena, ArenaConfig, RoundResult, ROUND_GENERATE_NS, ROUND_SECS};
 pub use fp_honeysite::DefenseStack;
 pub use fp_types::defense::{ResponsePolicy, DEFAULT_BLOCK_TTL_SECS};
 pub use strategy::{

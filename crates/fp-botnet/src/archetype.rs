@@ -310,7 +310,7 @@ fn mimicry_evader(with_plugins: bool, locale: &LocaleSpec, rng: &mut Splittable)
 
 /// Mimicry evader whose cover has an impossible pair.
 fn sloppy_mimicry_evader(with_plugins: bool, locale: &LocaleSpec, rng: &mut Splittable) -> Built {
-    let mut fp = if rng.chance(0.5) {
+    let fp = if rng.chance(0.5) {
         // Apple vendor on a non-Apple platform (Table 6 Browser group).
         let mut fp = desktop_base(with_plugins, true, locale, rng);
         fp.set(AttrId::Vendor, "Apple Computer, Inc.");
@@ -323,12 +323,8 @@ fn sloppy_mimicry_evader(with_plugins: bool, locale: &LocaleSpec, rng: &mut Spli
     };
     // The lie never extends to behaviour here — that's the point.
     let behavior = mimic_good(rng);
-    apply_locale_noise(&mut fp, rng);
     Built::new(fp, behavior)
 }
-
-/// Hook for future locale-level noise; currently a no-op kept for symmetry.
-fn apply_locale_noise(_fp: &mut Fingerprint, _rng: &mut Splittable) {}
 
 // --------------------------------------------------------------------
 // Cell (EvadeDataDomeOnly): evade DataDome ∧ detected by BotD.

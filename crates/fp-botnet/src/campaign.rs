@@ -1,14 +1,18 @@
 //! Whole-campaign orchestration.
 //!
-//! Generates all twenty services (in parallel — the work is CPU-bound, so
-//! per the Tokio guide's own advice this is plain `std::thread::scope`
-//! threads, not async), merges the streams in arrival order, and exposes
-//! the ground-truth designs for calibration.
+//! Generates all twenty services, merges the streams in arrival order, and
+//! exposes the ground-truth designs for calibration. Generation is
+//! CPU-bound, so it runs on plain `std::thread::scope` workers, not async:
+//! one per core (at most one per service), each taking the next service
+//! off a shared counter. A service's stream depends only on its own seeded
+//! RNG, so the merged campaign is the same at any worker count.
 
 use crate::realuser::{self, RealUserRequest};
 use crate::service::{self, DesignInfo as ServiceDesign, GeneratedRequest};
 use crate::spec::SERVICES;
-use fp_types::{Request, Scale, ServiceId, Symbol};
+use fp_types::{Request, Scale, ServiceId, SimTime, Symbol};
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub use crate::service::DesignInfo;
 
@@ -63,24 +67,58 @@ pub struct AdversarialTraffic {
     pub tls_laggards: Vec<Request>,
 }
 
-/// Generate all twenty services in parallel and merge in arrival order.
-fn generate_services(config: CampaignConfig) -> Vec<GeneratedRequest> {
+/// Generate all twenty services and yield their requests in arrival
+/// order.
+///
+/// `min(SERVICES.len(), available_parallelism)` workers, the caller's
+/// thread among them, each generate the next service index off a shared
+/// counter until none is left. The merge then sorts `(time, flat index)`
+/// keys, where the flat index counts through the services in order, and
+/// moves each request out once. The keys are unique, so the order is that
+/// of a stable sort by time of the services' streams concatenated: ties
+/// stay in service order, then in generation order.
+fn generate_services(config: CampaignConfig) -> impl ExactSizeIterator<Item = GeneratedRequest> {
+    let workers = std::thread::available_parallelism()
+        .map_or(1, NonZeroUsize::get)
+        .min(SERVICES.len());
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            let Some(spec) = SERVICES.get(index) else {
+                break done;
+            };
+            done.push((index, service::generate(spec, config.scale, config.seed)));
+        }
+    };
     let mut per_service: Vec<Vec<GeneratedRequest>> = Vec::with_capacity(SERVICES.len());
     per_service.resize_with(SERVICES.len(), Vec::new);
-
     std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for spec in SERVICES.iter() {
-            handles.push(scope.spawn(move || service::generate(spec, config.scale, config.seed)));
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for helper in helpers {
+            done.extend(helper.join().expect("service generator panicked"));
         }
-        for (slot, handle) in per_service.iter_mut().zip(handles) {
-            *slot = handle.join().expect("service generator panicked");
+        for (index, stream) in done {
+            per_service[index] = stream;
         }
     });
 
-    let mut merged: Vec<GeneratedRequest> = per_service.into_iter().flatten().collect();
-    merged.sort_by_key(|g| g.request.time);
-    merged
+    let total = per_service.iter().map(Vec::len).sum();
+    let mut keys: Vec<(SimTime, u32)> = Vec::with_capacity(total);
+    let mut slots: Vec<Option<GeneratedRequest>> = Vec::with_capacity(total);
+    for g in per_service.into_iter().flatten() {
+        let index = u32::try_from(slots.len()).expect("campaign fits u32 indices");
+        keys.push((g.request.time, index));
+        slots.push(Some(g));
+    }
+    keys.sort_unstable();
+    keys.into_iter().map(move |(_, index)| {
+        slots[index as usize]
+            .take()
+            .expect("each key names one request")
+    })
 }
 
 impl Campaign {
@@ -114,10 +152,7 @@ impl Campaign {
     /// users and AI agents it never uses.
     pub fn generate_adversarial(config: CampaignConfig) -> AdversarialTraffic {
         AdversarialTraffic {
-            bot_requests: generate_services(config)
-                .into_iter()
-                .map(|g| g.request)
-                .collect(),
+            bot_requests: generate_services(config).map(|g| g.request).collect(),
             tls_laggards: crate::cohorts::generate_tls_laggards(config.scale, config.seed),
         }
     }
@@ -220,6 +255,35 @@ mod tests {
         for (a, b) in slice.tls_laggards.iter().zip(&full.tls_laggards) {
             assert_eq!(a.fingerprint, b.fingerprint);
             assert_eq!(a.tls, b.tls);
+        }
+    }
+
+    /// The worker pool and the key-sorted merge give exactly the stream a
+    /// single thread builds by generating the services in order and
+    /// stable-sorting the concatenation by time: the tie order the
+    /// generation golden relies on.
+    #[test]
+    fn adversarial_stream_equals_the_in_order_stable_sort() {
+        for seed in [42, 1_048_573] {
+            let config = CampaignConfig {
+                scale: Scale::ratio(0.01),
+                seed,
+            };
+            let mut reference: Vec<Request> = SERVICES
+                .iter()
+                .flat_map(|spec| service::generate(spec, config.scale, config.seed))
+                .map(|g| g.request)
+                .collect();
+            reference.sort_by_key(|r| r.time);
+            let pooled = Campaign::generate_adversarial(config).bot_requests;
+            assert_eq!(pooled.len(), reference.len());
+            for (i, (got, want)) in pooled.iter().zip(&reference).enumerate() {
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "seed {seed}: request {i} differs"
+                );
+            }
         }
     }
 

@@ -87,7 +87,7 @@ impl UsPlacement {
         };
         let asn = pool[rng.next_below(pool.len() as u64) as usize];
         let ip = NetDb::sample_ip(asn, rng);
-        (ip, locale_for_region(NetDb::lookup(ip).region))
+        (ip, locale_for_region(NetDb::lookup(ip).region_index))
     }
 }
 

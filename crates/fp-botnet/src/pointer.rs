@@ -55,8 +55,6 @@ pub fn human_path(rng: &mut Splittable) -> Vec<PointerSample> {
             let jx = (rng.next_f64() as f32 - 0.5) * 3.0;
             let jy = (rng.next_f64() as f32 - 0.5) * 3.0;
             // Eased time increments give the speed profile its variance.
-            let dt_share = (e - (i as f32 - 1.0) / steps as f32 * 0.0).max(0.02);
-            let _ = dt_share;
             let prev_e = {
                 let u0 = (i as f32 - 1.0) / steps as f32;
                 u0 * u0 * (3.0 - 2.0 * u0)

@@ -165,7 +165,7 @@ fn placement(tech: PrivacyTech, rng: &mut Splittable) -> (std::net::Ipv4Addr, Lo
             let asns = fp_netsim::asn::asns_in("United States of America", AsnClass::Residential);
             let asn = asns[rng.next_below(asns.len() as u64) as usize];
             let ip = NetDb::sample_ip(asn, rng);
-            let locale = locale_for_region(NetDb::lookup(ip).region);
+            let locale = locale_for_region(NetDb::lookup(ip).region_index);
             (ip, locale)
         }
     }

@@ -64,7 +64,7 @@ fn sample_student(spoofer: bool, rng: &mut Splittable) -> Student {
     let candidates = asns_in("United States of America", class);
     let asn = candidates[rng.next_below(candidates.len() as u64) as usize];
     let ip = NetDb::sample_ip(asn, rng);
-    let locale = locale_for_region(NetDb::lookup(ip).region);
+    let locale = locale_for_region(NetDb::lookup(ip).region_index);
 
     let mut fingerprint = Collector::collect(&device, &browser, &locale);
     let tls = family.tls_facet();

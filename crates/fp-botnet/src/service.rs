@@ -16,7 +16,7 @@ use fp_fingerprint::{
     BrowserFamily, BrowserProfile, Collector, DeviceKind, DeviceProfile, LocaleSpec,
 };
 use fp_netsim::asn::{asns_in, AsnClass, AsnRecord};
-use fp_netsim::{NetDb, Region};
+use fp_netsim::{NetDb, REGIONS};
 use fp_types::{
     sym, AttrId, AttrValue, BehaviorTrace, CookieId, Request, Scale, Splittable, Symbol,
     TrafficSource,
@@ -173,7 +173,7 @@ pub fn generate(spec: &ServiceSpec, scale: Scale, seed: u64) -> Vec<GeneratedReq
             // ones (temporal churn, plus the platform lie on the Figure 10
             // device).
             let ip = sample_service_ip(spec, lookup_region, &mut rng);
-            let churn_locale = locale_for_region(NetDb::lookup(ip).region);
+            let churn_locale = locale_for_region(NetDb::lookup(ip).region_index);
             let mut built = if spatial {
                 // Both mechanisms: sloppy archetype + platform churn on the
                 // Figure 10 cookie.
@@ -205,7 +205,7 @@ pub fn generate(spec: &ServiceSpec, scale: Scale, seed: u64) -> Vec<GeneratedReq
                 // The device's locale must match its *own* IP's region, or
                 // a clean pooled request would trip the location rule.
                 let ip = sample_service_ip(spec, lookup_region, &mut rng);
-                let own_locale = locale_for_region(NetDb::lookup(ip).region);
+                let own_locale = locale_for_region(NetDb::lookup(ip).region_index);
                 let built = archetype::build(cell, mimicry, Variant::Clean, &own_locale, &mut rng);
                 pool.push(PoolDevice {
                     fingerprint: built.fingerprint,
@@ -280,18 +280,19 @@ pub fn site_token(seed: u64, service: u8) -> Symbol {
     sym(&s)
 }
 
-/// Pick the network cover and locale for one request.
+/// Pick the network cover and locale for one request; the region is the
+/// address's index into [`REGIONS`].
 fn place(
     spec: &ServiceSpec,
     seek_blocked: Option<bool>,
     rng: &mut Splittable,
-) -> (Ipv4Addr, &'static Region, LocaleSpec, bool, bool) {
+) -> (Ipv4Addr, usize, LocaleSpec, bool, bool) {
     match spec.geo_target {
         None => {
             let mix_weights: Vec<f64> = WORLD_MIX.iter().map(|(_, w)| *w).collect();
             let country = WORLD_MIX[rng.pick_weighted(&mix_weights)].0;
             let ip = sample_ip_seeking(country, spec, seek_blocked, rng);
-            let region = NetDb::lookup(ip).region;
+            let region = NetDb::lookup(ip).region_index;
             (ip, region, locale_for_region(region), false, false)
         }
         Some(target) => {
@@ -313,7 +314,8 @@ fn place(
                 WORLD_MIX[rng.pick_weighted(&mix_weights)].0
             };
             let ip = sample_ip_seeking(country, spec, seek_blocked, rng);
-            let region = NetDb::lookup(ip).region;
+            let region = NetDb::lookup(ip).region_index;
+            let offset = REGIONS[region].offset_minutes;
             let (locale, geo_mismatch) = if tz_in_target {
                 if ip_in_target {
                     // Fully consistent: timezone of the IP's own region.
@@ -323,8 +325,8 @@ fn place(
                     // elsewhere: pick a target region's locale.
                     let target_region = target_region(target, rng);
                     (
-                        mismatched_locale(target_region, target_region),
-                        region.offset_minutes != target_region.offset_minutes,
+                        locale_for_region(target_region),
+                        offset != REGIONS[target_region].offset_minutes,
                     )
                 }
             } else {
@@ -332,14 +334,14 @@ fn place(
                 // offset is outside the advertised target.
                 let leak = loop {
                     let cand = mismatch_region(rng);
-                    if !target.offset_matches(cand.offset_minutes) {
+                    if !target.offset_matches(REGIONS[cand].offset_minutes) {
                         break cand;
                     }
                 };
                 let claimed = target_region(target, rng);
                 (
                     mismatched_locale(claimed, leak),
-                    leak.offset_minutes != region.offset_minutes,
+                    REGIONS[leak].offset_minutes != offset,
                 )
             };
             (ip, region, locale, geo_mismatch, !ip_in_target)
@@ -347,10 +349,10 @@ fn place(
     }
 }
 
-fn target_region(target: fp_netsim::GeoTarget, rng: &mut Splittable) -> &'static Region {
+fn target_region(target: fp_netsim::GeoTarget, rng: &mut Splittable) -> usize {
     let country = *rng.pick(target.countries());
     let indices = fp_netsim::geo::regions_of(country);
-    &fp_netsim::REGIONS[*rng.pick(&indices)]
+    *rng.pick(&indices)
 }
 
 /// Sample an address, optionally shopping for (or steering clear of)
@@ -404,12 +406,8 @@ fn pick_asn(country: &str, class: AsnClass, rng: &mut Splittable) -> &'static As
     any[rng.next_below(any.len() as u64) as usize]
 }
 
-fn sample_service_ip(
-    spec: &ServiceSpec,
-    region: &'static Region,
-    rng: &mut Splittable,
-) -> Ipv4Addr {
-    sample_ip_in(region.country, spec, rng)
+fn sample_service_ip(spec: &ServiceSpec, region: usize, rng: &mut Splittable) -> Ipv4Addr {
+    sample_ip_in(REGIONS[region].country, spec, rng)
 }
 
 /// A temporal-churn archetype whose device is oracle-unconstrained, so

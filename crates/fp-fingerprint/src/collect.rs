@@ -5,12 +5,23 @@
 //! every other** — this is what a real browser on real hardware produces.
 //! Evasive bots start from such a fingerprint and then alter attributes
 //! (`fp-botnet`), which is precisely where inconsistencies creep in.
+//!
+//! A campaign collects the same few hundred configurations hundreds of
+//! thousands of times, so every string-valued attribute is built once per
+//! input and reused: the User-Agent and its parse per (device kind,
+//! Android model, family, major), each static list and `&'static str` per
+//! value, the canvas digest per (WebGL renderer, family) and
+//! Accept-Language per language list. The values live in a per-thread
+//! memo, so a repeat call formats nothing, takes no interner lock and
+//! interns nothing new; a first call interns exactly what it always did.
 
-use crate::browser::BrowserProfile;
+use crate::browser::{BrowserFamily, BrowserProfile};
 use crate::catalog;
 use crate::device::{DeviceKind, DeviceProfile};
 use crate::ua;
 use fp_types::{AttrId, AttrValue, Fingerprint, Splittable};
+use std::cell::RefCell;
+use std::collections::HashMap;
 
 /// Locale facts injected by the caller (the geo substrate lives in
 /// `fp-netsim`; this keeps the crates acyclic).
@@ -44,6 +55,82 @@ impl LocaleSpec {
 /// Renders consistent fingerprints.
 pub struct Collector;
 
+/// The address and length of `'static` data. Such data is never freed or
+/// mutated, so equal keys mean equal contents and a value derived from
+/// the contents can be reused under the key.
+type StaticKey = (usize, usize);
+
+fn static_key<T>(data: &'static [T]) -> StaticKey {
+    (data.as_ptr() as usize, data.len())
+}
+
+/// The UA attributes of one (device kind, Android model, family, major):
+/// everything [`ua::synthesize`] reads.
+type UaKey = (DeviceKind, Option<&'static str>, BrowserFamily, u16);
+
+/// The User-Agent, its three parsed attributes and, for Chromium
+/// families, `Sec-CH-UA`.
+#[derive(Clone, Copy)]
+struct UaAttrs {
+    user_agent: AttrValue,
+    device: AttrValue,
+    browser: AttrValue,
+    os: AttrValue,
+    sec_ch_ua: Option<AttrValue>,
+}
+
+impl UaAttrs {
+    fn build(device: &DeviceProfile, browser: &BrowserProfile) -> UaAttrs {
+        let ua_string = ua::synthesize(device, browser);
+        let parsed = ua::parse_user_agent(&ua_string);
+        UaAttrs {
+            user_agent: AttrValue::text(&ua_string),
+            device: AttrValue::text(&parsed.device),
+            browser: AttrValue::text(&parsed.browser),
+            os: AttrValue::text(&parsed.os),
+            sec_ch_ua: browser
+                .family
+                .is_chromium()
+                .then(|| AttrValue::text(&format!("\"Chromium\";v=\"{}\"", browser.major))),
+        }
+    }
+}
+
+/// One thread's interned collector values, each filled on its key's
+/// first use.
+#[derive(Default)]
+struct Memo {
+    ua: HashMap<UaKey, UaAttrs>,
+    /// Canvas digests by (WebGL renderer, family).
+    canvas: HashMap<(StaticKey, BrowserFamily), AttrValue>,
+    /// Accept-Language by language list.
+    accept_language: HashMap<StaticKey, AttrValue>,
+    /// Joined static lists.
+    lists: HashMap<StaticKey, AttrValue>,
+    /// `&'static str` attributes.
+    texts: HashMap<StaticKey, AttrValue>,
+}
+
+impl Memo {
+    fn text(&mut self, s: &'static str) -> AttrValue {
+        *self
+            .texts
+            .entry(static_key(s.as_bytes()))
+            .or_insert_with(|| AttrValue::text(s))
+    }
+
+    fn list(&mut self, items: &'static [&'static str]) -> AttrValue {
+        *self
+            .lists
+            .entry(static_key(items))
+            .or_insert_with(|| AttrValue::list(items.iter().copied()))
+    }
+}
+
+thread_local! {
+    static MEMO: RefCell<Memo> = RefCell::new(Memo::default());
+}
+
 impl Collector {
     /// Produce the complete, internally consistent fingerprint a real
     /// browser `browser` on device `device` in locale `locale` yields.
@@ -56,46 +143,62 @@ impl Collector {
         browser: &BrowserProfile,
         locale: &LocaleSpec,
     ) -> Fingerprint {
+        MEMO.with_borrow_mut(|memo| Self::collect_with(memo, device, browser, locale))
+    }
+
+    fn collect_with(
+        memo: &mut Memo,
+        device: &DeviceProfile,
+        browser: &BrowserProfile,
+        locale: &LocaleSpec,
+    ) -> Fingerprint {
         let mut fp = Fingerprint::new();
-        let ua_string = ua::synthesize(device, browser);
-        let parsed = ua::parse_user_agent(&ua_string);
+        let ua = *memo
+            .ua
+            .entry((
+                device.kind,
+                device.android_model,
+                browser.family,
+                browser.major,
+            ))
+            .or_insert_with(|| UaAttrs::build(device, browser));
 
         // HTTP / UA layer.
-        fp.set(AttrId::UserAgent, ua_string.as_str());
-        fp.set(AttrId::UaDevice, parsed.device.as_str());
-        fp.set(AttrId::UaBrowser, parsed.browser.as_str());
-        fp.set(AttrId::UaOs, parsed.os.as_str());
+        fp.set(AttrId::UserAgent, ua.user_agent);
+        fp.set(AttrId::UaDevice, ua.device);
+        fp.set(AttrId::UaBrowser, ua.browser);
+        fp.set(AttrId::UaOs, ua.os);
 
         // navigator.*
-        fp.set(AttrId::Platform, device.platform);
-        fp.set(AttrId::Vendor, browser.family.vendor());
+        fp.set(AttrId::Platform, memo.text(device.platform));
+        fp.set(AttrId::Vendor, memo.text(browser.family.vendor()));
         fp.set(
             AttrId::VendorFlavors,
-            AttrValue::list(browser.family.vendor_flavors().iter().copied()),
+            memo.list(browser.family.vendor_flavors()),
         );
-        fp.set(AttrId::ProductSub, browser.family.product_sub());
+        fp.set(AttrId::ProductSub, memo.text(browser.family.product_sub()));
         fp.set(AttrId::Webdriver, false);
         fp.set(
             AttrId::Plugins,
-            AttrValue::list(browser.family.plugins(device.kind).iter().copied()),
+            memo.list(browser.family.plugins(device.kind)),
         );
         fp.set(
             AttrId::MimeTypes,
-            AttrValue::list(browser.family.mime_types(device.kind).iter().copied()),
+            memo.list(browser.family.mime_types(device.kind)),
         );
         fp.set(AttrId::HardwareConcurrency, i64::from(device.cores));
         // deviceMemory is a Chromium-only API; Safari/Firefox leave it out.
         if browser.family.is_chromium() {
             fp.set(AttrId::DeviceMemory, AttrValue::float(device.device_memory));
         }
-        if matches!(browser.family, crate::browser::BrowserFamily::Firefox) {
+        if matches!(browser.family, BrowserFamily::Firefox) {
             let oscpu = match device.kind {
                 DeviceKind::WindowsDesktop => "Windows NT 10.0; Win64; x64",
                 DeviceKind::Mac => "Intel Mac OS X 10.15",
                 DeviceKind::LinuxDesktop => "Linux x86_64",
                 _ => "Linux armv8l",
             };
-            fp.set(AttrId::OsCpu, oscpu);
+            fp.set(AttrId::OsCpu, memo.text(oscpu));
         }
         fp.set(AttrId::CookieEnabled, true);
 
@@ -105,47 +208,45 @@ impl Collector {
         let frame = u16::from(device.screen_frame);
         fp.set(AttrId::AvailResolution, (w, h.saturating_sub(frame)));
         fp.set(AttrId::ColorDepth, i64::from(device.color_depth));
-        fp.set(AttrId::ColorGamut, device.color_gamut);
+        fp.set(AttrId::ColorGamut, memo.text(device.color_gamut));
         fp.set(AttrId::Hdr, device.color_gamut != "srgb");
         fp.set(AttrId::Contrast, 0i64);
         fp.set(AttrId::ForcedColors, false);
         fp.set(AttrId::ReducedMotion, false);
         fp.set(AttrId::ScreenFrame, i64::from(device.screen_frame));
-        fp.set(AttrId::TouchSupport, device.touch_summary());
+        fp.set(AttrId::TouchSupport, memo.text(device.touch_summary()));
         fp.set(AttrId::MaxTouchPoints, i64::from(device.max_touch_points));
 
         // Locale / location.
-        fp.set(AttrId::Timezone, locale.timezone);
+        fp.set(AttrId::Timezone, memo.text(locale.timezone));
         fp.set(AttrId::TimezoneOffset, i64::from(locale.offset_minutes));
-        fp.set(AttrId::Language, locale.language);
-        fp.set(
-            AttrId::Languages,
-            AttrValue::list(locale.languages.iter().copied()),
-        );
-        fp.set(AttrId::NavGeoRegion, locale.geo_region);
+        fp.set(AttrId::Language, memo.text(locale.language));
+        fp.set(AttrId::Languages, memo.list(locale.languages));
+        fp.set(AttrId::NavGeoRegion, memo.text(locale.geo_region));
 
         // Rendering / fonts.
-        let fonts: &[&str] = match device.kind {
+        let fonts: &'static [&'static str] = match device.kind {
             DeviceKind::WindowsDesktop => &catalog::WINDOWS_FONTS,
             DeviceKind::Mac | DeviceKind::IPhone | DeviceKind::IPad => &catalog::APPLE_FONTS,
             DeviceKind::LinuxDesktop => &catalog::LINUX_FONTS,
             _ => &catalog::ANDROID_FONTS,
         };
-        fp.set(AttrId::Fonts, AttrValue::list(fonts.iter().copied()));
+        fp.set(AttrId::Fonts, memo.list(fonts));
         fp.set(
             AttrId::MonospaceWidth,
             AttrValue::float(catalog::monospace_width_for_os(device.kind.ua_os())),
         );
-        fp.set(
-            AttrId::Canvas,
-            Self::canvas_digest(device, browser).as_str(),
-        );
+        let canvas = *memo
+            .canvas
+            .entry((static_key(device.webgl_renderer.as_bytes()), browser.family))
+            .or_insert_with(|| AttrValue::text(&Self::canvas_digest(device, browser)));
+        fp.set(AttrId::Canvas, canvas);
         fp.set(
             AttrId::Audio,
             AttrValue::float(Self::audio_value(device, browser)),
         );
-        fp.set(AttrId::WebGlVendor, device.webgl_vendor);
-        fp.set(AttrId::WebGlRenderer, device.webgl_renderer);
+        fp.set(AttrId::WebGlVendor, memo.text(device.webgl_vendor));
+        fp.set(AttrId::WebGlRenderer, memo.text(device.webgl_renderer));
 
         // Storage.
         fp.set(AttrId::SessionStorage, true);
@@ -155,19 +256,17 @@ impl Collector {
         // HTTP header layer. Accept-Language derives from the language
         // list; client hints exist only on Chromium engines and always
         // agree with the real platform there.
-        fp.set(
-            AttrId::AcceptLanguage,
-            Self::accept_language(locale).as_str(),
-        );
-        if browser.family.is_chromium() {
-            fp.set(
-                AttrId::SecChUa,
-                format!("\"Chromium\";v=\"{}\"", browser.major).as_str(),
-            );
-            fp.set(AttrId::SecChUaPlatform, ch_platform(device.kind));
+        let accept_language = *memo
+            .accept_language
+            .entry(static_key(locale.languages))
+            .or_insert_with(|| AttrValue::text(&Self::accept_language(locale)));
+        fp.set(AttrId::AcceptLanguage, accept_language);
+        if let Some(sec_ch_ua) = ua.sec_ch_ua {
+            fp.set(AttrId::SecChUa, sec_ch_ua);
+            fp.set(AttrId::SecChUaPlatform, memo.text(ch_platform(device.kind)));
             fp.set(
                 AttrId::SecChUaMobile,
-                if device.kind.is_mobile() { "?1" } else { "?0" },
+                memo.text(if device.kind.is_mobile() { "?1" } else { "?0" }),
             );
         }
 
@@ -195,7 +294,7 @@ impl Collector {
         rng: &mut Splittable,
     ) -> Fingerprint {
         let device = DeviceProfile::sample(kind, rng);
-        let defaults = crate::browser::BrowserFamily::defaults_for(kind);
+        let defaults = BrowserFamily::defaults_for(kind);
         let weights: Vec<f64> = defaults.iter().map(|(_, w)| *w).collect();
         let family = defaults[rng.pick_weighted(&weights)].0;
         let browser = BrowserProfile::contemporary(family, rng);
@@ -252,7 +351,6 @@ fn fnv(s: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::browser::BrowserFamily;
 
     fn collect_one(kind: DeviceKind, family: BrowserFamily) -> Fingerprint {
         let mut rng = Splittable::new(11);
@@ -318,6 +416,72 @@ mod tests {
                 let fp = Collector::sample_consistent(kind, &LocaleSpec::en_us(), &mut rng);
                 assert_eq!(fp.get(AttrId::UaOs).as_str(), Some(kind.ua_os()));
                 assert_eq!(fp.get(AttrId::Webdriver).as_int(), Some(0));
+            }
+        }
+    }
+
+    /// The memoised values are the values: a first call equals a repeat
+    /// on the same thread and a cold call on another, and the UA and list
+    /// attributes equal what synthesis, parsing and joining give directly.
+    #[test]
+    fn memoised_collection_equals_direct_construction() {
+        let locales = [
+            LocaleSpec::en_us(),
+            LocaleSpec {
+                timezone: "Europe/Paris",
+                offset_minutes: -60,
+                language: "fr-FR",
+                languages: &["fr-FR", "fr", "en-US"],
+                geo_region: "France/Ile-de-France",
+            },
+            LocaleSpec {
+                timezone: "Asia/Tokyo",
+                offset_minutes: -540,
+                language: "ja-JP",
+                languages: &["ja-JP", "ja"],
+                geo_region: "Japan/Tokyo",
+            },
+        ];
+        let mut rng = Splittable::new(0xC011EC7);
+        // Three draws per pair, so one thread sees several majors and
+        // Android models under the same kind and family.
+        let draws = DeviceKind::ALL
+            .iter()
+            .flat_map(|&kind| BrowserFamily::ALL.map(|family| (kind, family)))
+            .flat_map(|pair| [pair; 3]);
+        for (kind, family) in draws {
+            let device = DeviceProfile::sample(kind, &mut rng);
+            let browser = BrowserProfile::contemporary(family, &mut rng);
+            for locale in &locales {
+                let first = Collector::collect(&device, &browser, locale);
+                assert_eq!(first, Collector::collect(&device, &browser, locale));
+                let elsewhere = std::thread::scope(|s| {
+                    s.spawn(|| Collector::collect(&device, &browser, locale))
+                        .join()
+                        .unwrap()
+                });
+                assert_eq!(first, elsewhere, "{kind:?}/{family:?} on another thread");
+
+                let ua_string = ua::synthesize(&device, &browser);
+                let parsed = ua::parse_user_agent(&ua_string);
+                let text = |id| first.get(id).as_str();
+                assert_eq!(text(AttrId::UserAgent), Some(ua_string.as_str()));
+                assert_eq!(text(AttrId::UaDevice), Some(parsed.device.as_str()));
+                assert_eq!(text(AttrId::UaBrowser), Some(parsed.browser.as_str()));
+                assert_eq!(text(AttrId::UaOs), Some(parsed.os.as_str()));
+                let lists = [
+                    (AttrId::VendorFlavors, family.vendor_flavors()),
+                    (AttrId::Plugins, family.plugins(kind)),
+                    (AttrId::MimeTypes, family.mime_types(kind)),
+                    (AttrId::Languages, locale.languages),
+                ];
+                for (id, items) in lists {
+                    assert_eq!(*first.get(id), AttrValue::list(items.iter().copied()));
+                }
+                assert_eq!(
+                    first.get(AttrId::SecChUa).is_missing(),
+                    !family.is_chromium()
+                );
             }
         }
     }

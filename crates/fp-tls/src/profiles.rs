@@ -207,9 +207,15 @@ impl TlsClientKind {
     }
 
     /// The TLS facet a request carried by this stack presents — the
-    /// JA3/JA4 digests of its synthesized ClientHello, interned once.
+    /// JA3/JA4 digests of its synthesized ClientHello, interned on the
+    /// stack's first facet and reused after.
     pub fn facet(self) -> fp_types::TlsFacet {
-        fp_types::TlsFacet::observed(fp_types::sym(self.ja3()), fp_types::sym(self.ja4()))
+        static FACETS: [OnceLock<fp_types::TlsFacet>; TlsClientKind::ALL.len()] =
+            [const { OnceLock::new() }; TlsClientKind::ALL.len()];
+        let idx = TlsClientKind::ALL.iter().position(|k| *k == self).unwrap();
+        *FACETS[idx].get_or_init(|| {
+            fp_types::TlsFacet::observed(fp_types::sym(self.ja3()), fp_types::sym(self.ja4()))
+        })
     }
 
     /// Which stack a given UA-parser browser family genuinely uses.

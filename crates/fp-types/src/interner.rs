@@ -10,6 +10,12 @@
 //! run on scoped threads. A poisoned lock is recovered rather than
 //! propagated: the table is only ever mutated by appending a fully built
 //! entry, so a panic elsewhere cannot leave it half-written.
+//!
+//! Every lookup takes the lock, and threads that look up at once contend
+//! on it even when nothing is written. So hot callers intern a value once
+//! and keep its [`Symbol`]: the collector's per-thread memo, the TLS
+//! facets and the region labels. Values that are new on every request
+//! (bot canvas noise) still take the write lock each time.
 
 use std::collections::HashMap;
 use std::fmt;
