@@ -23,12 +23,12 @@
 //! the instrumented run's p50/p99/p999 admission-to-verdict latency.
 //!
 //! Since the serving layer, it also drives [`HoneySite::serve`] two
-//! ways: steady load (the full stream through roomy queues under Block
+//! ways: steady load (the full stream through a roomy ring under Block
 //! overflow — nothing shed) and burst load (the same stream as one
-//! sustained flash crowd into a small ingress queue under Shed — the
+//! sustained flash crowd into a small intake ring under Shed — the
 //! over-capacity remainder turned away), recording per-request
 //! admission-to-verdict latency quantiles, the shed count and the
-//! queue-depth high-water marks under the `serve_*` keys.
+//! depth high-water gauges under the `serve_*` keys.
 //! `BENCH_SECTION=serve` runs only those two drivers (one leg each,
 //! asserted, nothing recorded) — the CI smoke mode.
 //!
@@ -57,7 +57,7 @@ use std::time::Instant;
 
 /// One serving-layer leg's yield: end-to-end throughput, the latency
 /// quantiles the always-on histogram recorded, and the backpressure
-/// evidence (shed count, queue high-water marks).
+/// evidence (shed count, ring and window high-water marks).
 struct ServeRun {
     rps: f64,
     p50: u64,
@@ -99,11 +99,11 @@ fn main() {
     let store = site.into_store();
     let engine = FpInconsistent::mine(&store, &MineConfig::default());
 
-    // The two serving-layer postures. Steady: queues roomy enough that
+    // The two serving-layer postures. Steady: a ring roomy enough that
     // Block backpressure never engages and the latency series prices the
     // pipeline itself. Burst: the whole stream arrives as one sustained
     // flash crowd (every submission back to back, far beyond 4× the
-    // ingress capacity) into a small queue under Shed, so the intake gate
+    // ring capacity) into a small ring under Shed, so the intake gate
     // actually turns traffic away and the survivors' latency prices the
     // queueing delay a spike costs.
     let steady_cfg = ServeConfig {
@@ -181,7 +181,7 @@ fn main() {
         assert_serve("burst", &burst);
         assert!(
             burst.shed > 0,
-            "the flash crowd must overflow the small ingress queue"
+            "the flash crowd must overflow the small intake ring"
         );
         println!(
             "serve smoke (scale {}, {requests} requests):\n\
@@ -305,10 +305,11 @@ fn main() {
     // speedup there would fail for reasons that have nothing to do with
     // the pipeline, and recording it as a regression would mislead.
     // Skip loudly instead of silently.
+    eprintln!("8-shard streaming vs batch: {speedup_8:.3}x");
     if threads == 1 {
         eprintln!(
             "note: available_parallelism == 1 — skipping the shard-speedup assertion \
-             (8-shard vs batch ratio {speedup_8:.3} measures overhead, not speedup)"
+             (the ratio measures overhead, not speedup)"
         );
     } else {
         assert!(
@@ -450,6 +451,7 @@ fn main() {
             quantiles.2,
         )
     };
+    eprintln!("always-on metrics overhead (paired median): {obs_overhead:.3}");
     assert!(
         obs_overhead < 0.03,
         "always-on metrics overhead (paired median) {obs_overhead:.3} exceeds the 3% \
@@ -480,7 +482,7 @@ fn main() {
         assert_serve("burst", &burst);
         assert!(
             burst.shed > 0,
-            "the flash crowd must overflow the small ingress queue"
+            "the flash crowd must overflow the small intake ring"
         );
         (steady, burst)
     };

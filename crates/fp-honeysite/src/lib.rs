@@ -7,18 +7,19 @@
 //!   cookie on first contact, runs its detector chain in real time, and
 //!   forwards everything to the store.
 //! * [`serve`] — the continuously running serving layer, the one sharded
-//!   engine ([`HoneySite::serve`] → [`FpService`]): admission and an
-//!   optional gate (TTL blocklist / policy) on the caller's thread, then
-//!   bounded queues, drained in micro-batches, into an enricher and one
-//!   detector worker per core, each hosting the route forks of several
-//!   shards (partitioned by each detector's [`fp_types::StateScope`]
-//!   anchor), with explicit backpressure (block or shed on a full
-//!   ingress queue) and an in-order collector that commits into the
-//!   site's own store — verdict-for-verdict identical to the sequential
-//!   loop at any shard count. [`HoneySite::ingest_stream`] is its batch driver. Both
-//!   engines run the chain through one route kernel (the anchor split,
-//!   the per-shard worker with its sampled detector timing, and the
-//!   chain-order verdict commit).
+//!   engine ([`HoneySite::serve`] → [`FpService`]): admission and
+//!   enrichment on the caller's thread (behind any gate the caller runs,
+//!   such as the arena's TTL blocklist), then one bounded intake ring
+//!   that one detector worker per core reads in admission order, each
+//!   hosting the route forks of several shards (partitioned by each
+//!   detector's [`fp_types::StateScope`] anchor). Backpressure is
+//!   explicit (block or shed on a full ring), and the worker whose
+//!   verdicts complete the oldest request commits it, in order, into
+//!   the site's own store — verdict-for-verdict identical to the
+//!   sequential loop at any shard count. [`HoneySite::ingest_stream`] is
+//!   its batch driver. Both engines run the chain through one route
+//!   kernel (the anchor split, the per-shard worker with its sampled
+//!   detector timing, and the chain-order verdict commit).
 //! * [`store::RequestStore`] — the recorded dataset, organised as epoch
 //!   segments with pluggable [`fp_types::RetentionPolicy`] (default
 //!   `KeepAll`, the pre-refactor behaviour). Raw IPs never reach

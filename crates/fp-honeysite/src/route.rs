@@ -18,7 +18,7 @@
 //!   several shards; the sequential engine is one worker over the whole
 //!   chain — one shard on which both routes coincide.
 //! * [`Routes::commit`] — a request's tagged verdicts from every route,
-//!   recorded in chain order under their interned names.
+//!   merged into chain order under their interned names.
 //!
 //! [`HoneySite::ingest`]: crate::HoneySite::ingest
 //! [`HoneySite::ingest_stream`]: crate::HoneySite::ingest_stream
@@ -78,13 +78,26 @@ impl Routes {
         &self.cookie
     }
 
-    /// Record one request's verdicts — every route's tagged share,
-    /// concatenated — in chain order, so provenance order never depends on
-    /// the engine or the shard count.
-    pub(crate) fn commit(&self, record: &mut StoredRequest, mut tagged: TaggedVerdicts) {
-        tagged.sort_by_key(|(position, _)| *position);
-        for (position, verdict) in tagged {
+    /// Record one request's verdicts in chain order, so provenance order
+    /// never depends on the engine or the shard count. Each of `lists` is
+    /// one route's share, ascending by chain position as
+    /// [`RouteWorker::observe`] returns it; the lists are merged into a
+    /// verdict set reserved once to the chain's length.
+    pub(crate) fn commit<const N: usize>(
+        &self,
+        record: &mut StoredRequest,
+        mut lists: [&[(usize, Verdict)]; N],
+    ) {
+        record.verdicts.reserve(self.names.len());
+        while let Some(list) = lists
+            .iter_mut()
+            .filter(|list| !list.is_empty())
+            .min_by_key(|list| list[0].0)
+        {
+            let current: &[(usize, Verdict)] = list;
+            let (&(position, verdict), rest) = current.split_first().expect("filtered non-empty");
             record.verdicts.record(self.names[position], verdict);
+            *list = rest;
         }
     }
 }

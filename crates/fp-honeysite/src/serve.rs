@@ -2,90 +2,102 @@
 //! ingest engine.
 //!
 //! [`HoneySite::serve`] turns the site into an [`FpService`]: resident
-//! workers behind **bounded queues** that process each request end to
-//! end as it arrives — the shape a deployed honey site actually has, and
+//! workers behind **one bounded intake ring** that decide each request
+//! as it arrives — the shape a deployed honey site actually has, and
 //! the shape the always-on admission-to-verdict histogram was built to
 //! measure. [`HoneySite::ingest_stream`] is a batch driver over the same
 //! service: submit every request, then [`FpService::finish`].
 //!
-//! Topology (one thread per stage box, one bounded queue per bracket):
+//! Topology (the caller's thread plus one thread per worker, one lock):
 //!
 //! ```text
-//! caller ──submit──▶ [ingress] ──▶ enricher ──▶ [worker 0..w] ──▶ workers ──▶ [collector] ──▶ collector ──▶ store
-//!   │ token check                      └ one item per route, tagged (route, fork)
-//!   └─ full ingress: Block (wait) or Shed (drop + count)
+//! caller        token check ─▶ Shed: full ring? drop + count ─▶ stamp, enrich, route ─▶ push
+//!                                                             (Block: wait for room) ──┐
+//!                                                                                      ▼
+//! intake ring   front ─▶ [slot][slot][slot][slot][slot][slot] …   ≤ ingress_capacity
+//!                        └─ commit window: shard_capacity ─┘
+//!                           │ read unread slots, in order     ▲ deposit verdicts
+//!                           ▼                                 │
+//! worker i of w    observe the routes it hosts (lock released)
+//!                  the deposit that completes the front commits it, and every
+//!                  complete slot behind it, into the site's store
 //! ```
 //!
+//! A served request crosses one thread hand-off: the caller's push to
+//! the workers that decide it.
+//!
 //! * **Threads = cores**: `shards` sets the state partition; the service
-//!   runs `w = min(shards, available_parallelism)` workers, and worker `i`
-//!   drains one queue for both route forks of every shard `s ≡ i (mod w)`.
-//! * **Admission on the hot path**: the caller's thread runs the token
-//!   check (cookie issuance) *before* anything is enqueued — a rejected
-//!   request never costs queue space or a worker's time. A caller that
-//!   turns addresses away (the arena's TTL blocklist) does so before it
-//!   submits.
-//! * **Backpressure is explicit**: the ingress queue is the sole intake
-//!   gate. When it is full, [`OverflowPolicy::Block`] makes `submit`
-//!   wait for drain (nothing dropped, latency absorbs the spike) and
-//!   [`OverflowPolicy::Shed`] returns [`SubmitOutcome::Shed`]
-//!   immediately and bumps [`SERVE_REQUESTS_SHED`].
-//! * **Micro-batched hand-offs**: each stage takes everything queued on
-//!   its input under one lock, processes it, and forwards one batch per
-//!   destination queue, pushed under one lock per chunk that fits the
-//!   free room. There is no batch size and no timer, so no request waits
-//!   for a batch to fill: a batch is whatever has queued up — about one
-//!   request under light load, larger under saturation, where per-item
-//!   locking and wake-ups would otherwise bound throughput. Capacities
-//!   count items, so each stage holds at most one drained queue's worth
-//!   beyond its queues.
-//! * **Workers never block on each other**: each worker blocks only on
-//!   its own input queue and on the collector queue (a sink that is
-//!   always drained). The queue graph is acyclic, so the service cannot
-//!   deadlock.
-//! * **Stages stop when their input closes**: [`FpService::finish`]
-//!   closes the ingress queue, and each stage drains its input and exits
-//!   — the enricher closing the worker queues on its way out, `finish`
-//!   closing the collector queue once the enricher and every worker are
-//!   joined. Every stage closes the queues it consumes from a drop guard,
-//!   on a panic too, and a push into a closed queue drops its items, so a
-//!   panicking detector cannot hang `submit`, the collector, `finish` or
-//!   `Drop`; `finish` re-raises the first stage panic.
+//!   runs `w = min(shards, available_parallelism)` workers and no other
+//!   thread. Worker `i` hosts both route forks of every shard
+//!   `s ≡ i (mod w)`, as its fork `s / w`.
+//! * **Admission and enrichment on the caller's thread**: `submit` runs
+//!   the token check (cookie issuance), derives the stored record and
+//!   routes it *before* it touches the ring — a rejected request never
+//!   costs ring space or a worker's time. A caller that turns addresses
+//!   away (the arena's TTL blocklist) does so before it submits.
+//! * **Backpressure at one gate**: the ring, `ingress_capacity` slots
+//!   deep, is the only intake. When it is full,
+//!   [`OverflowPolicy::Block`] makes `submit` wait for a commit to make
+//!   room (nothing dropped, latency absorbs the spike) and
+//!   [`OverflowPolicy::Shed`] returns [`SubmitOutcome::Shed`] before
+//!   enriching and bumps [`SERVE_REQUESTS_SHED`].
+//! * **Batched reads inside a commit window**: a worker takes every slot
+//!   it has not read in `[front, front + shard_capacity)` under one lock,
+//!   where `front` is the oldest uncommitted request, then observes the
+//!   routes it hosts with the lock released. There is no batch size and
+//!   no timer: a batch is whatever has arrived — about one request under
+//!   light load, up to the window under saturation. The window bounds
+//!   the requests decided but not yet committed.
+//! * **No deadlock by construction**: there is one lock, never held
+//!   across `observe` or a wait. A worker waits only when its window
+//!   holds nothing it has not read; the front slot lies inside every
+//!   window, so its owners can always take it. The caller waits only for
+//!   room, and commits make room.
+//! * **Stopping and faults**: [`FpService::finish`] closes the ring; a
+//!   worker exits once the ring is closed and it has read every slot.
+//!   A worker that panics marks the ring dead from its drop guard and
+//!   wakes everyone: the other workers exit, `submit` drops requests
+//!   into the dead ring, `finish` re-raises the first panic and `Drop`
+//!   returns.
 //! * **Flag identity with the sequential loop**: the worker forks are
 //!   the route kernel's, forked over its anchor split; routing uses the
-//!   [`shard_for`] keys, the enricher forwards work in admission order
-//!   (FIFO queues and order-preserving batches keep it per fork), and
-//!   detectors observe records in the same pre-verdict state (`id == 0`,
-//!   empty verdict set). For any anchor value the observing detector
-//!   fork sees exactly the subsequence the sequential loop would have
-//!   shown it — verdict-for-verdict equivalence at any shard count
-//!   (property-tested in `tests/serve.rs` and `tests/streaming.rs`).
-//! * **In-order commit into the site's store**: the collector holds a
-//!   reorder ring and commits records strictly in admission order
-//!   through the kernel's chain-order commit, into the store the site
-//!   lends it at `serve` and gets back at `finish`. Dense ids, iteration
-//!   order, epoch seals ([`HoneySite::set_epoch_every`]) and retention
-//!   therefore match the sequential loop while the service runs.
+//!   [`shard_for`] keys; each fork lives on one worker, which reads slots
+//!   in admission order; and detectors observe records in the same
+//!   pre-verdict state (`id == 0`, empty verdict set). For any anchor
+//!   value the observing detector fork sees exactly the subsequence the
+//!   sequential loop would have shown it — verdict-for-verdict
+//!   equivalence at any shard count (property-tested in `tests/serve.rs`
+//!   and `tests/streaming.rs`).
+//! * **In-order commit by the worker that decides last**: under the ring
+//!   lock, the worker whose verdicts complete the front slot commits it
+//!   and every complete slot behind it, through the kernel's chain-order
+//!   commit, into the store the site lends at `serve` and gets back at
+//!   `finish`. Dense ids, iteration order, epoch seals
+//!   ([`HoneySite::set_epoch_every`]) and retention therefore match the
+//!   sequential loop while the service runs.
 
-use crate::route::{RouteWorker, TaggedVerdicts};
+use crate::route::{RouteWorker, Routes, TaggedVerdicts};
 use crate::site::{derive_record, HoneySite};
 use crate::store::{RequestStore, StoredRequest};
-use fp_obs::{Counter, Gauge, Histogram};
-use fp_types::{shard_for, CookieId, OverflowPolicy, Request, ServeConfig};
+use fp_obs::{Counter, Gauge, Histogram, LocalHistogram};
+use fp_types::{shard_for, OverflowPolicy, Request, ServeConfig};
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Registry name of the shed-request counter (requests turned away by a
-/// full ingress queue under [`OverflowPolicy::Shed`]).
+/// full intake ring under [`OverflowPolicy::Shed`]).
 pub const SERVE_REQUESTS_SHED: &str = "serve_requests_shed";
-/// Registry name of the ingress-queue high-water gauge (set at
-/// [`FpService::finish`]).
+/// Registry name of the intake ring's high-water gauge, in requests
+/// (set at [`FpService::finish`]).
 pub const SERVE_INGRESS_DEPTH_PEAK: &str = "serve_ingress_depth_peak";
-/// Registry name of the worker-queue high-water gauge (max over every
-/// worker's queue; set at [`FpService::finish`]).
+/// Registry name of the gauge of the largest batch one worker took from
+/// the ring, in requests: at most `shard_capacity`, the commit window
+/// (set at [`FpService::finish`]).
 pub const SERVE_SHARD_DEPTH_PEAK: &str = "serve_shard_depth_peak";
-/// Registry name of the collector-queue high-water gauge (set at
+/// Registry name of the gauge of the most requests decided on one route
+/// and waiting to commit: at most `shard_capacity` (set at
 /// [`FpService::finish`]).
 pub const SERVE_COLLECTOR_DEPTH_PEAK: &str = "serve_collector_depth_peak";
 
@@ -97,235 +109,299 @@ pub enum SubmitOutcome {
     /// No registered token — not recorded, exactly like the sequential
     /// loop.
     Rejected,
-    /// The ingress queue was full under [`OverflowPolicy::Shed`]:
-    /// dropped, counted in [`SERVE_REQUESTS_SHED`]. The request may have
-    /// consumed a cookie number (the token check runs before the queue
-    /// is probed, like a real site that sets its cookie before the
-    /// backend sheds the page load).
+    /// The intake ring was full under [`OverflowPolicy::Shed`]: dropped,
+    /// counted in [`SERVE_REQUESTS_SHED`]. The request may have consumed
+    /// a cookie number (the token check runs before the ring is probed,
+    /// like a real site that sets its cookie before the backend sheds the
+    /// page load).
     Shed,
 }
 
-/// A bounded MPSC queue: `Mutex<VecDeque>` plus two condvars. Consumers
-/// take everything queued at once and producers push whole batches, so a
-/// stage pays one lock and one wake-up per batch, not per item.
-struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
-    capacity: usize,
-    not_empty: Condvar,
-    not_full: Condvar,
-}
-
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-    /// High-water mark, for the depth gauges.
-    peak: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    fn new(capacity: usize) -> BoundedQueue<T> {
-        BoundedQueue {
-            state: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                closed: false,
-                peak: 0,
-            }),
-            capacity: capacity.max(1),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-        }
-    }
-
-    /// Push, waiting for space (the Block overflow posture). A closed
-    /// queue has lost its consumer: the item is dropped, never waited on.
-    fn push_block(&self, item: T) {
-        let mut s = self.state.lock().expect("queue poisoned");
-        while s.items.len() >= self.capacity && !s.closed {
-            s = self.not_full.wait(s).expect("queue poisoned");
-        }
-        if s.closed {
-            return;
-        }
-        s.items.push_back(item);
-        s.peak = s.peak.max(s.items.len());
-        drop(s);
-        self.not_empty.notify_one();
-    }
-
-    /// Push every item of `batch` in order, leaving it empty: each chunk
-    /// fills the free room under one lock, waiting for room between
-    /// chunks. A closed queue drops the rest of the batch.
-    fn push_batch(&self, batch: &mut Vec<T>) {
-        let mut items = batch.drain(..);
-        while !items.as_slice().is_empty() {
-            let mut s = self.state.lock().expect("queue poisoned");
-            while s.items.len() >= self.capacity && !s.closed {
-                s = self.not_full.wait(s).expect("queue poisoned");
-            }
-            if s.closed {
-                return;
-            }
-            let room = self.capacity - s.items.len();
-            s.items.extend(items.by_ref().take(room));
-            s.peak = s.peak.max(s.items.len());
-            drop(s);
-            self.not_empty.notify_one();
-        }
-    }
-
-    /// Push if there is space, else hand the item back (the Shed
-    /// posture — never blocks).
-    fn try_push(&self, item: T) -> Result<(), T> {
-        let mut s = self.state.lock().expect("queue poisoned");
-        if s.items.len() >= self.capacity {
-            return Err(item);
-        }
-        s.items.push_back(item);
-        s.peak = s.peak.max(s.items.len());
-        drop(s);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Move every queued item into `batch` (which must be empty), waiting
-    /// for at least one; `false` once the queue is closed *and* drained
-    /// (the consumer's shutdown signal).
-    fn pop_all(&self, batch: &mut VecDeque<T>) -> bool {
-        debug_assert!(batch.is_empty(), "the previous batch was processed");
-        let mut s = self.state.lock().expect("queue poisoned");
-        while s.items.is_empty() {
-            if s.closed {
-                return false;
-            }
-            s = self.not_empty.wait(s).expect("queue poisoned");
-        }
-        // Swapping hands the queue the consumer's spent buffer, so the
-        // two allocations take turns instead of being made afresh.
-        std::mem::swap(&mut s.items, batch);
-        drop(s);
-        self.not_full.notify_all();
-        true
-    }
-
-    /// Close the queue: producers stop, consumers drain then see `false`.
-    /// Idempotent.
-    fn close(&self) {
-        self.state.lock().expect("queue poisoned").closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    fn peak(&self) -> usize {
-        self.state.lock().expect("queue poisoned").peak
-    }
-}
-
-/// Runs its closure when dropped — on a normal exit and while unwinding
-/// from a panic alike. Each serving stage closes its queues through one,
-/// so a dying stage releases every stage waiting on it.
-struct OnExit<F: FnMut()>(F);
-
-impl<F: FnMut()> Drop for OnExit<F> {
-    fn drop(&mut self) {
-        (self.0)()
-    }
-}
-
-/// The start-paused gate: while closed, the enricher holds off popping
-/// the ingress queue so tests and the burst bench driver can fill it
-/// deterministically.
-struct PauseGate {
-    paused: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl PauseGate {
-    fn new(paused: bool) -> PauseGate {
-        PauseGate {
-            paused: Mutex::new(paused),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn wait_open(&self) {
-        let mut p = self.paused.lock().expect("gate poisoned");
-        while *p {
-            p = self.cv.wait(p).expect("gate poisoned");
-        }
-    }
-
-    fn open(&self) {
-        *self.paused.lock().expect("gate poisoned") = false;
-        self.cv.notify_all();
-    }
-}
-
-/// One admitted request on its way to the enricher.
-struct IngressItem {
-    seq: u64,
-    request: Request,
-    cookie: CookieId,
-    ip_hash: u64,
+/// One admitted request in the intake ring.
+struct Slot {
+    record: Arc<StoredRequest>,
+    /// Each route's `(worker, fork)`: the IP route, then the cookie route.
+    routes: [(usize, usize); 2],
+    /// Each route's verdicts, indexed like `routes`.
+    verdicts: [TaggedVerdicts; 2],
+    /// Routes not decided yet: the slot commits at 0.
+    undecided: u8,
     /// Admission stamp (the latency window opens here); only taken when
     /// a registry is attached, like the sequential loop.
     stamp: Option<Instant>,
 }
 
-/// One enriched record on its way to a worker, tagged with the route
-/// that decides it and the worker-local fork on that route.
-struct ShardWork {
-    seq: u64,
-    route: Route,
-    fork: usize,
-    record: Arc<StoredRequest>,
-    stamp: Option<Instant>,
+/// Everything the ring's one lock guards.
+struct RingState {
+    /// Slot `i` holds admission `front + i`.
+    slots: VecDeque<Slot>,
+    /// Admission index of the oldest uncommitted request.
+    front: u64,
+    /// Per worker: the admission index of the next slot it reads.
+    cursors: Vec<u64>,
+    /// Per worker: waiting for work, so a notify is owed.
+    asleep: Vec<bool>,
+    /// The caller waits for room.
+    caller_waits: bool,
+    paused: bool,
+    closed: bool,
+    /// A worker died: nothing commits any more.
+    dead: bool,
+    /// The site's store, lent for the service's lifetime.
+    store: RequestStore,
+    /// Per route: requests decided on it, not yet committed.
+    decided: [usize; 2],
+    /// High-water marks: ring depth, batch taken, decided on one route.
+    peaks: [usize; 3],
 }
 
-/// Which detector route a work item rides: indexes a worker's fork pair
-/// and a pending request's verdict pair.
-#[derive(Clone, Copy)]
-enum Route {
-    Ip = 0,
-    Cookie = 1,
+/// The intake ring: one lock, a condvar per worker (work to read) and
+/// one for the caller (room).
+struct Ring {
+    state: Mutex<RingState>,
+    work: Vec<Condvar>,
+    room: Condvar,
+    capacity: usize,
+    window: u64,
 }
 
-/// One request's state in the collector's reorder ring.
-#[derive(Default)]
-struct Pending {
-    record: Option<Arc<StoredRequest>>,
-    /// Each route's tagged verdicts, indexed by [`Route`].
-    verdicts: [Option<TaggedVerdicts>; 2],
-    stamp: Option<Instant>,
+impl Ring {
+    /// The state. A lock poisoned by a panic comes back marked dead, and
+    /// every holder checks `dead` before it reads anything else, so no
+    /// one acts on what the panicking thread left half-updated.
+    fn lock(&self) -> MutexGuard<'_, RingState> {
+        self.state.lock().unwrap_or_else(recover)
+    }
+
+    /// Is the ring at capacity (the Shed probe)?
+    fn full(&self) -> bool {
+        self.lock().slots.len() >= self.capacity
+    }
+
+    /// Append one slot, waiting for room, and wake the workers that host
+    /// its routes if they sleep and can read it now. A dead ring drops
+    /// the slot.
+    fn push(&self, slot: Slot) {
+        let mut s = self.lock();
+        while s.slots.len() >= self.capacity && !s.dead {
+            s.caller_waits = true;
+            s = wait(&self.room, s);
+        }
+        if s.dead {
+            return;
+        }
+        let readable = !s.paused && (s.slots.len() as u64) < self.window;
+        let wake = slot
+            .routes
+            .map(|(w, _)| (readable && std::mem::take(&mut s.asleep[w])).then_some(w));
+        s.slots.push_back(slot);
+        s.peaks[0] = s.peaks[0].max(s.slots.len());
+        drop(s);
+        for w in wake.into_iter().flatten() {
+            self.work[w].notify_one();
+        }
+    }
+
+    /// Apply `set` to the state and wake everyone: `resume`, `finish` and
+    /// a dying worker.
+    fn wake_all(&self, set: impl FnOnce(&mut RingState)) {
+        let mut s = self.lock();
+        set(&mut s);
+        s.asleep.fill(false);
+        drop(s);
+        self.work.iter().for_each(Condvar::notify_one);
+        self.room.notify_one();
+    }
+}
+
+/// Wait on `cv`; a poisoned lock comes back marked dead (see
+/// [`Ring::lock`]).
+fn wait<'a>(cv: &Condvar, s: MutexGuard<'a, RingState>) -> MutexGuard<'a, RingState> {
+    cv.wait(s).unwrap_or_else(recover)
+}
+
+fn recover(poisoned: PoisonError<MutexGuard<'_, RingState>>) -> MutexGuard<'_, RingState> {
+    let mut s = poisoned.into_inner();
+    s.dead = true;
+    s
+}
+
+/// A worker's drop guard: if the worker is unwinding from a panic, mark
+/// the ring dead and wake everyone, so nobody waits on it.
+struct DeadOnPanic(Arc<Ring>);
+
+impl Drop for DeadOnPanic {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.wake_all(|s| s.dead = true);
+        }
+    }
+}
+
+/// One worker: the forks of the shards it hosts, and what it has
+/// recorded since it last flushed into the shared histograms.
+struct Worker {
+    me: usize,
+    ring: Arc<Ring>,
+    routes: Routes,
+    /// Fork `k` holds the IP-route and cookie-route forks of shard
+    /// `me + k * workers`.
+    forks: Vec<[RouteWorker; 2]>,
+    latency: Option<Arc<Histogram>>,
+    detector_ns: Vec<Arc<Histogram>>,
+    /// Admission-to-verdict samples of the requests this worker
+    /// committed, merged into `latency` when it idles and when it exits.
+    local: LocalHistogram,
+    unflushed: bool,
+}
+
+impl Worker {
+    fn run(mut self) {
+        let ring = self.ring.clone();
+        let window = ring.window;
+        let mut batch: Vec<(u64, usize, usize, Arc<StoredRequest>)> = Vec::new();
+        let mut decided: Vec<(u64, usize, TaggedVerdicts)> = Vec::new();
+        let mut rouse: Vec<usize> = Vec::new();
+        let mut s = ring.lock();
+        loop {
+            if s.dead {
+                return;
+            }
+            let (front, len) = (s.front, s.slots.len() as u64);
+            let start = s.cursors[self.me].max(front);
+            let end = front + len.min(window);
+            if s.paused || start >= end {
+                if s.closed && start >= front + len {
+                    break;
+                }
+                if self.unflushed {
+                    drop(s);
+                    self.flush();
+                    s = ring.lock();
+                    continue;
+                }
+                s.asleep[self.me] = true;
+                s = wait(&ring.work[self.me], s);
+                s.asleep[self.me] = false;
+                continue;
+            }
+
+            // Take every unread slot in the window, in admission order.
+            for (seq, slot) in (start..end).zip(s.slots.range((start - front) as usize..)) {
+                for (route, &(worker, fork)) in slot.routes.iter().enumerate() {
+                    if worker == self.me {
+                        batch.push((seq, route, fork, slot.record.clone()));
+                    }
+                }
+            }
+            s.cursors[self.me] = end;
+            s.peaks[1] = s.peaks[1].max((end - start) as usize);
+            drop(s);
+
+            // Observe with the lock released; each record handle drops
+            // here, so the committer holds the only one.
+            for (seq, route, fork, record) in batch.drain(..) {
+                decided.push((seq, route, self.forks[fork][route].observe(seq, &record)));
+            }
+            self.unflushed |= self.latency.is_some();
+
+            s = ring.lock();
+            if s.dead {
+                return;
+            }
+            let front = s.front;
+            for (seq, route, verdicts) in decided.drain(..) {
+                let slot = &mut s.slots[(seq - front) as usize];
+                slot.verdicts[route] = verdicts;
+                slot.undecided -= 1;
+                s.decided[route] += 1;
+                s.peaks[2] = s.peaks[2].max(s.decided[route]);
+            }
+            self.commit(&mut s);
+
+            // Commits made room and moved the window: wake the caller if
+            // it waits, and any sleeping worker the window now reaches.
+            if s.front > front {
+                let caller = std::mem::take(&mut s.caller_waits);
+                if s.front + s.slots.len() as u64 > front + window {
+                    for (w, asleep) in s.asleep.iter_mut().enumerate() {
+                        if std::mem::take(asleep) {
+                            rouse.push(w);
+                        }
+                    }
+                }
+                if caller || !rouse.is_empty() {
+                    drop(s);
+                    if caller {
+                        ring.room.notify_one();
+                    }
+                    for w in rouse.drain(..) {
+                        ring.work[w].notify_one();
+                    }
+                    s = ring.lock();
+                }
+            }
+        }
+        drop(s);
+        self.flush();
+    }
+
+    /// Commit every complete slot at the front, in admission order.
+    fn commit(&mut self, s: &mut RingState) {
+        let mut now = None;
+        while s.slots.front().is_some_and(|slot| slot.undecided == 0) {
+            let slot = s.slots.pop_front().expect("checked above");
+            let mut record = Arc::into_inner(slot.record)
+                .expect("both routes dropped their handles before deciding");
+            let [ip, cookie] = &slot.verdicts;
+            self.routes.commit(&mut record, [ip, cookie]);
+            if let Some(stamp) = slot.stamp {
+                let now = *now.get_or_insert_with(Instant::now);
+                self.local
+                    .record(now.duration_since(stamp).as_nanos() as u64);
+            }
+            s.store.push(record);
+            s.front += 1;
+            s.decided.iter_mut().for_each(|d| *d -= 1);
+        }
+    }
+
+    /// Fold this worker's latency samples and detector timings into the
+    /// shared histograms.
+    fn flush(&mut self) {
+        if let Some(latency) = &self.latency {
+            latency.merge_local(&std::mem::take(&mut self.local));
+        }
+        for fork in self.forks.iter_mut().flatten() {
+            fork.flush(&self.detector_ns);
+        }
+        self.unflushed = false;
+    }
 }
 
 /// The service-side instrument handles, resolved once at [`HoneySite::serve`].
 struct ServeObs {
-    latency: Arc<Histogram>,
     admitted: Arc<Counter>,
     shed: Arc<Counter>,
-    ingress_peak: Arc<Gauge>,
-    worker_peak: Arc<Gauge>,
-    collector_peak: Arc<Gauge>,
+    /// Ring depth, batch taken, decided on one route: the three peaks.
+    peaks: [Arc<Gauge>; 3],
 }
 
-/// A continuously running honey site: admission on the caller's thread,
-/// enrichment and detection on resident workers behind bounded queues.
-/// Built by [`HoneySite::serve`]; torn down (and the site with its
-/// recorded store handed back) by [`FpService::finish`].
+/// A continuously running honey site: admission and enrichment on the
+/// caller's thread, detection on resident workers behind one bounded
+/// intake ring. Built by [`HoneySite::serve`]; torn down (and the site
+/// with its recorded store handed back) by [`FpService::finish`].
 pub struct FpService {
     /// The site while it serves — admission state (tokens, cookie
     /// counter, rejection count, metrics) lives here; its store is lent
-    /// to the collector until `finish`. `Option` only so `finish` can
-    /// move it out past the `Drop` impl.
+    /// to the ring until `finish`. `Option` only so `finish` can move it
+    /// out past the `Drop` impl.
     site: Option<HoneySite>,
-    config: ServeConfig,
-    ingress: Arc<BoundedQueue<IngressItem>>,
-    worker_queues: Vec<Arc<BoundedQueue<ShardWork>>>,
-    collector_queue: Arc<BoundedQueue<(ShardWork, TaggedVerdicts)>>,
-    gate: Arc<PauseGate>,
-    enricher: Option<JoinHandle<()>>,
+    shards: usize,
+    overflow: OverflowPolicy,
+    ring: Arc<Ring>,
+    /// Empty once stopped.
     workers: Vec<JoinHandle<()>>,
-    collector: Option<JoinHandle<RequestStore>>,
     obs: Option<ServeObs>,
     seq: u64,
     shed: u64,
@@ -333,10 +409,10 @@ pub struct FpService {
 
 impl HoneySite {
     /// Start serving: move the site behind a running [`FpService`].
-    /// Requires an empty store, which the service's collector commits
-    /// into — sealing epochs at the [`HoneySite::set_epoch_every`]
-    /// cadence and applying the site's retention as it goes — and hands
-    /// back at [`FpService::finish`]. Each call forks fresh detector
+    /// Requires an empty store, which the service's workers commit into —
+    /// sealing epochs at the [`HoneySite::set_epoch_every`] cadence and
+    /// applying the site's retention as they go — and which
+    /// [`FpService::finish`] hands back. Each call forks fresh detector
     /// state from the chain prototypes — a new measurement run.
     pub fn serve(mut self, config: ServeConfig) -> FpService {
         assert!(
@@ -345,174 +421,71 @@ impl HoneySite {
         );
         let n = config.shards.max(1);
         let workers = n.min(std::thread::available_parallelism().map_or(1, |p| p.get()));
-        let routes = self.routes().clone();
-        let mut store = self.take_store();
-
         let obs = self.site_metrics().map(|m| ServeObs {
-            latency: m.latency_ns.clone(),
             admitted: m.admitted.clone(),
             shed: m.registry.counter(SERVE_REQUESTS_SHED),
-            ingress_peak: m.registry.gauge(SERVE_INGRESS_DEPTH_PEAK),
-            worker_peak: m.registry.gauge(SERVE_SHARD_DEPTH_PEAK),
-            collector_peak: m.registry.gauge(SERVE_COLLECTOR_DEPTH_PEAK),
+            peaks: [
+                SERVE_INGRESS_DEPTH_PEAK,
+                SERVE_SHARD_DEPTH_PEAK,
+                SERVE_COLLECTOR_DEPTH_PEAK,
+            ]
+            .map(|name| m.registry.gauge(name)),
         });
-        let detector_ns: Vec<Arc<Histogram>> = self
-            .site_metrics()
-            .map(|m| m.detector_ns.clone())
-            .unwrap_or_default();
+        let ring = Arc::new(Ring {
+            state: Mutex::new(RingState {
+                slots: VecDeque::new(),
+                front: 0,
+                cursors: vec![0; workers],
+                asleep: vec![false; workers],
+                caller_waits: false,
+                paused: config.start_paused,
+                closed: false,
+                dead: false,
+                store: self.take_store(),
+                decided: [0; 2],
+                peaks: [0; 3],
+            }),
+            work: (0..workers).map(|_| Condvar::new()).collect(),
+            room: Condvar::new(),
+            capacity: config.ingress_capacity.max(1),
+            window: config.shard_capacity.max(1) as u64,
+        });
 
-        let ingress: Arc<BoundedQueue<IngressItem>> =
-            Arc::new(BoundedQueue::new(config.ingress_capacity));
-        let worker_queues: Vec<Arc<BoundedQueue<ShardWork>>> = (0..workers)
-            .map(|_| Arc::new(BoundedQueue::new(config.shard_capacity)))
-            .collect();
-        let collector_queue: Arc<BoundedQueue<(ShardWork, TaggedVerdicts)>> =
-            Arc::new(BoundedQueue::new(config.shard_capacity));
-        let gate = Arc::new(PauseGate::new(config.start_paused));
-
-        // Enricher: FIFO over the ingress queue, and batches that keep
-        // their order, preserve admission order into every worker queue
-        // and so into every fork, which is what keeps per-anchor
-        // subsequences — and therefore verdicts — identical to the
-        // sequential loop. Shard `s` is fork `s / workers` of worker
-        // `s % workers`.
-        let enricher = {
-            let ingress = ingress.clone();
-            let queues = worker_queues.clone();
-            let gate = gate.clone();
-            std::thread::spawn(move || {
-                let _close = OnExit(|| {
-                    ingress.close();
-                    queues.iter().for_each(|q| q.close());
-                });
-                let mut batch = VecDeque::new();
-                let mut outs: Vec<Vec<ShardWork>> = (0..workers).map(|_| Vec::new()).collect();
-                gate.wait_open();
-                while ingress.pop_all(&mut batch) {
-                    for item in batch.drain(..) {
-                        let record = Arc::new(derive_record(&item.request, item.cookie));
-                        let work = |route, shard: usize, record| ShardWork {
-                            seq: item.seq,
-                            route,
-                            fork: shard / workers,
-                            record,
-                            stamp: item.stamp,
-                        };
-                        let ip = shard_for(item.ip_hash, n);
-                        let cookie = shard_for(item.cookie, n);
-                        outs[ip % workers].push(work(Route::Ip, ip, record.clone()));
-                        outs[cookie % workers].push(work(Route::Cookie, cookie, record));
-                    }
-                    for (queue, out) in queues.iter().zip(&mut outs) {
-                        queue.push_batch(out);
-                    }
-                }
-            })
-        };
-
-        // Workers: each owns the IP-route and cookie-route forks of the
-        // shards it hosts, observes in queue (= admission) order and
-        // forwards tagged verdicts. A worker blocks only on its own
-        // input queue and the collector sink — never on another worker.
-        let workers: Vec<JoinHandle<()>> = worker_queues
-            .iter()
-            .enumerate()
-            .map(|(w, queue)| {
-                let timed = obs.is_some();
-                let mut forks: Vec<[RouteWorker; 2]> = (w..n)
-                    .step_by(workers)
-                    .map(|_| {
-                        [routes.ip(), routes.cookie()]
-                            .map(|route| RouteWorker::fork(self.chain(), route, timed))
-                    })
-                    .collect();
-                let detector_ns = detector_ns.clone();
-                let queue = queue.clone();
-                let sink = collector_queue.clone();
+        let timed = obs.is_some();
+        let handles = (0..workers)
+            .map(|me| {
+                let worker = Worker {
+                    me,
+                    ring: ring.clone(),
+                    routes: self.routes().clone(),
+                    forks: (me..n)
+                        .step_by(workers)
+                        .map(|_| {
+                            [self.routes().ip(), self.routes().cookie()]
+                                .map(|route| RouteWorker::fork(self.chain(), route, timed))
+                        })
+                        .collect(),
+                    latency: self.site_metrics().map(|m| m.latency_ns.clone()),
+                    detector_ns: self
+                        .site_metrics()
+                        .map(|m| m.detector_ns.clone())
+                        .unwrap_or_default(),
+                    local: LocalHistogram::new(),
+                    unflushed: false,
+                };
                 std::thread::spawn(move || {
-                    let _close = OnExit(|| queue.close());
-                    let mut batch = VecDeque::new();
-                    let mut out = Vec::new();
-                    while queue.pop_all(&mut batch) {
-                        for work in batch.drain(..) {
-                            let fork = &mut forks[work.fork][work.route as usize];
-                            let tagged = fork.observe(work.seq, &work.record);
-                            out.push((work, tagged));
-                        }
-                        sink.push_batch(&mut out);
-                    }
-                    for fork in forks.iter_mut().flatten() {
-                        fork.flush(&detector_ns);
-                    }
+                    let _guard = DeadOnPanic(worker.ring.clone());
+                    worker.run();
                 })
             })
             .collect();
 
-        // Collector: reorder ring + in-order commit into the site's
-        // store (dense ids assigned at push, in admission order; epochs
-        // sealed at the store's cadence), handed back at `finish`.
-        let collector = {
-            let queue = collector_queue.clone();
-            let latency = obs.as_ref().map(|o| o.latency.clone());
-            std::thread::spawn(move || {
-                let _close = OnExit(|| queue.close());
-                // Slot `i` holds admission `next + i`; requests in flight
-                // upstream bound its length.
-                let mut pending: VecDeque<Pending> = VecDeque::new();
-                let mut batch = VecDeque::new();
-                let mut next = 0u64;
-                while queue.pop_all(&mut batch) {
-                    for (work, tagged) in batch.drain(..) {
-                        let slot = (work.seq - next) as usize;
-                        if slot >= pending.len() {
-                            pending.resize_with(slot + 1, Pending::default);
-                        }
-                        let entry = &mut pending[slot];
-                        entry.verdicts[work.route as usize] = Some(tagged);
-                        // Both routes carry a handle on the record: the
-                        // second one is dropped right here, so the commit
-                        // below holds the only one and takes the record
-                        // without copying it.
-                        entry.record.get_or_insert(work.record);
-                        entry.stamp = work.stamp;
-                    }
-                    while pending
-                        .front()
-                        .is_some_and(|e| e.verdicts.iter().all(Option::is_some))
-                    {
-                        let Pending {
-                            record,
-                            verdicts: [ip, cookie],
-                            stamp,
-                        } = pending.pop_front().expect("checked above");
-                        let arc = record.expect("every verdict carries its record");
-                        let mut record =
-                            Arc::into_inner(arc).expect("both routes handed their handles back");
-                        let mut tagged = ip.expect("checked above");
-                        tagged.extend(cookie.expect("checked above"));
-                        routes.commit(&mut record, tagged);
-                        if let (Some(h), Some(stamp)) = (&latency, stamp) {
-                            h.record(stamp.elapsed().as_nanos() as u64);
-                        }
-                        store.push(record);
-                        next += 1;
-                    }
-                }
-                assert!(pending.is_empty(), "every admitted request must commit");
-                store
-            })
-        };
-
         FpService {
             site: Some(self),
-            config,
-            ingress,
-            worker_queues,
-            collector_queue,
-            gate,
-            enricher: Some(enricher),
-            workers,
-            collector: Some(collector),
+            shards: n,
+            overflow: config.overflow,
+            ring,
+            workers: handles,
             obs,
             seq: 0,
             shed: 0,
@@ -551,33 +524,38 @@ impl HoneySite {
 
 impl FpService {
     /// Submit one request. On the caller's thread, in order: the site's
-    /// token check (cookie issuance), then the enqueue under the
-    /// configured [`OverflowPolicy`]. Everything else happens on the
-    /// service's resident workers.
+    /// token check (cookie issuance); under [`OverflowPolicy::Shed`], the
+    /// full-ring probe; enrichment and routing; then the push, which
+    /// under [`OverflowPolicy::Block`] waits for room. Detection and the
+    /// commit happen on the service's resident workers.
     pub fn submit(&mut self, request: Request) -> SubmitOutcome {
         let site = self.site.as_mut().expect("site present until finish");
         let Some(cookie) = site.admit(&request) else {
             return SubmitOutcome::Rejected;
         };
-        let item = IngressItem {
-            seq: self.seq,
-            ip_hash: fp_netsim::NetDb::hash_ip(request.ip),
-            request,
-            cookie,
-            stamp: self.obs.as_ref().map(|_| Instant::now()),
-        };
-        match self.config.overflow {
-            OverflowPolicy::Block => self.ingress.push_block(item),
-            OverflowPolicy::Shed => {
-                if self.ingress.try_push(item).is_err() {
-                    self.shed += 1;
-                    if let Some(o) = &self.obs {
-                        o.shed.inc();
-                    }
-                    return SubmitOutcome::Shed;
-                }
+        if self.overflow == OverflowPolicy::Shed && self.ring.full() {
+            self.shed += 1;
+            if let Some(o) = &self.obs {
+                o.shed.inc();
             }
+            return SubmitOutcome::Shed;
         }
+        let stamp = self.obs.as_ref().map(|_| Instant::now());
+        let record = Arc::new(derive_record(&request, cookie));
+        // Shard `s` is fork `s / w` of worker `s % w`.
+        let w = self.workers.len();
+        let route = |key| {
+            let shard = shard_for(key, self.shards);
+            (shard % w, shard / w)
+        };
+        let routes = [route(record.ip_hash), route(cookie)];
+        self.ring.push(Slot {
+            record,
+            routes,
+            verdicts: [Vec::new(), Vec::new()],
+            undecided: 2,
+            stamp,
+        });
         self.seq += 1;
         if let Some(o) = &self.obs {
             o.admitted.inc();
@@ -585,10 +563,10 @@ impl FpService {
         SubmitOutcome::Enqueued
     }
 
-    /// Release a [`ServeConfig::start_paused`] service: the enricher
-    /// starts draining the ingress queue. No-op when already running.
+    /// Release a [`ServeConfig::start_paused`] service: the workers start
+    /// reading the ring. No-op when already running.
     pub fn resume(&self) {
-        self.gate.open();
+        self.ring.wake_all(|s| s.paused = false);
     }
 
     /// Requests enqueued so far (admitted, not shed).
@@ -596,77 +574,63 @@ impl FpService {
         self.seq
     }
 
-    /// Requests dropped by a full ingress queue under
+    /// Requests dropped by a full intake ring under
     /// [`OverflowPolicy::Shed`].
     pub fn shed_count(&self) -> u64 {
         self.shed
     }
 
-    /// Drain and stop: close the intake, join every stage and hand the
+    /// Drain and stop: close the ring, join every worker and hand the
     /// site back with its store (rejection counts, cookie state, metrics,
     /// epochs and retention all preserved). Implicitly resumes a paused
     /// service first — queued work always completes.
     ///
     /// # Panics
     ///
-    /// Re-raises the first panic of any stage (in pipeline order:
-    /// enricher, workers, collector) — e.g. a faulty detector's — once
-    /// every stage has stopped.
+    /// Re-raises the first worker panic — e.g. a faulty detector's — once
+    /// every worker has stopped.
     pub fn finish(mut self) -> HoneySite {
-        let store = self
-            .stop()
-            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        if let Some(o) = &self.obs {
-            o.ingress_peak.set(self.ingress.peak() as i64);
-            let worker_peak = self.worker_queues.iter().map(|q| q.peak()).max();
-            o.worker_peak.set(worker_peak.unwrap_or(0) as i64);
-            o.collector_peak.set(self.collector_queue.peak() as i64);
+        if let Err(panic) = self.stop() {
+            std::panic::resume_unwind(panic);
         }
+        let mut s = self.ring.lock();
+        assert!(s.slots.is_empty(), "every admitted request must commit");
+        if let Some(o) = &self.obs {
+            for (gauge, peak) in o.peaks.iter().zip(s.peaks) {
+                gauge.set(peak as i64);
+            }
+        }
+        let store = std::mem::take(&mut s.store);
+        drop(s);
         let mut site = self.site.take().expect("site present until finish");
         site.set_store(store);
         site
     }
 
-    /// Stop every stage by closing its input, upstream first: open the
-    /// gate, close the intake, join the enricher (which closes the worker
-    /// queues) and the workers, then close the collector queue and join
-    /// the collector. Returns the site's store, or the first stage panic
-    /// in pipeline order. Every join returns: each stage also closes the
-    /// queues it consumes on exit (see [`OnExit`]), so a dead stage never
-    /// strands a live one.
-    fn stop(&mut self) -> std::thread::Result<RequestStore> {
-        self.gate.open();
-        self.ingress.close();
-        let mut first_panic = None;
-        let stages = self
-            .enricher
-            .take()
-            .into_iter()
-            .chain(self.workers.drain(..));
-        for stage in stages {
-            if let Err(panic) = stage.join() {
-                first_panic.get_or_insert(panic);
+    /// Close the ring (resuming it if paused), wake every worker and join
+    /// them all. Returns the first worker panic, in worker order. Every
+    /// join returns: a live worker drains what it can read and exits, and
+    /// a dying one marks the ring dead, which stops the rest.
+    fn stop(&mut self) -> std::thread::Result<()> {
+        self.ring.wake_all(|s| (s.paused, s.closed) = (false, true));
+        let mut first_panic = Ok(());
+        for worker in self.workers.drain(..) {
+            if let Err(panic) = worker.join() {
+                if first_panic.is_ok() {
+                    first_panic = Err(panic);
+                }
             }
         }
-        self.collector_queue.close();
-        let collected = self
-            .collector
-            .take()
-            .expect("collector present until stopped")
-            .join();
-        match first_panic {
-            Some(panic) => Err(panic),
-            None => collected,
-        }
+        first_panic
     }
 }
 
 impl Drop for FpService {
-    /// Dropping without [`FpService::finish`] still shuts the stages
-    /// down cleanly (open the gate, close the intake, join everything) —
-    /// the recorded store, and any stage panic, are discarded.
+    /// Dropping without [`FpService::finish`] still shuts the workers
+    /// down cleanly (close the ring, join everything) — the recorded
+    /// store, and any worker panic, are discarded.
     fn drop(&mut self) {
-        if self.collector.is_some() {
+        if !self.workers.is_empty() {
             let _ = self.stop();
         }
     }

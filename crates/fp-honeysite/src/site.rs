@@ -239,7 +239,7 @@ impl HoneySite {
         // (rejections never get here) keys the deterministic
         // detector-timing sample.
         let tagged = self.chain.observe(self.store.total_ingested(), &record);
-        self.routes.commit(&mut record, tagged);
+        self.routes.commit(&mut record, [&tagged]);
         let id = self.store.push(record);
         if let (Some(m), Some(start)) = (&self.metrics, start) {
             self.chain.flush(&m.detector_ns);
@@ -266,7 +266,7 @@ impl HoneySite {
         &self.store
     }
 
-    /// Lend the store to the serving collector, which commits into it
+    /// Lend the store to the serving ring, whose workers commit into it
     /// with its retention, cadence and metrics as configured.
     pub(crate) fn take_store(&mut self) -> RequestStore {
         std::mem::take(&mut self.store)

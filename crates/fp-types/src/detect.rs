@@ -160,6 +160,12 @@ impl VerdictSet {
         }
     }
 
+    /// Make room for `additional` more verdicts at once, so a commit
+    /// that records a whole chain allocates once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.entries.reserve_exact(additional);
+    }
+
     /// The verdict recorded under `name`, if that detector ran.
     pub fn verdict(&self, name: &str) -> Option<Verdict> {
         self.entries

@@ -100,8 +100,8 @@ fn burst_at_4x_capacity_sheds_exactly_and_matches_batch() {
     let registry = Arc::new(MetricsRegistry::new());
     let mut site = full_chain_site();
     site.set_metrics(registry.clone());
-    // Paused + Shed: the enricher holds off, so exactly the first
-    // `CAPACITY` submissions fill the ingress queue and every one after
+    // Paused + Shed: the workers hold off, so exactly the first
+    // `CAPACITY` submissions fill the intake ring and every one after
     // that is shed — deterministically, no race against the drain.
     let mut service = site.serve(ServeConfig {
         shards: 2,
@@ -122,7 +122,7 @@ fn burst_at_4x_capacity_sheds_exactly_and_matches_batch() {
     service.resume();
     let served = finish_within_deadline(service).into_store();
 
-    // Admitted = the first CAPACITY submissions (the queue filled in
+    // Admitted = the first CAPACITY submissions (the ring filled in
     // submit order). Their verdicts must equal the sequential batch path
     // over the same prefix, record for record.
     let mut batch_site = full_chain_site();
@@ -151,7 +151,7 @@ fn burst_at_4x_capacity_sheds_exactly_and_matches_batch() {
     assert_eq!(latency.count(), CAPACITY as u64);
 }
 
-/// Blocking backpressure: with a tiny ingress queue and Block overflow,
+/// Blocking backpressure: with a tiny intake ring and Block overflow,
 /// every submission eventually lands — nothing shed, order preserved.
 #[test]
 fn block_overflow_completes_everything_through_tiny_queues() {
@@ -173,10 +173,10 @@ fn block_overflow_completes_everything_through_tiny_queues() {
     assert_eq!(ids, (0..100).collect::<Vec<u64>>(), "in-order commit");
 }
 
-/// Bounded memory: no queue ever holds more than its capacity. A paused
-/// service fills its ingress queue, then the enricher drains all of it
-/// at once and forwards 64-request batches into 2-deep worker queues —
-/// every hand-off runs the chunked wait-for-room path.
+/// Bounded memory: the ring never holds more than its capacity, and no
+/// worker reads or leaves decided more than the commit window. A paused
+/// service fills its 64-slot ring, then the workers drain it through a
+/// 2-request window — every read waits on the commit before it.
 #[test]
 fn queue_depths_stay_within_their_capacities() {
     const INGRESS: usize = 64;
@@ -205,12 +205,13 @@ fn queue_depths_stay_within_their_capacities() {
 
         let snap = registry.snapshot();
         let peak = |name: &str| snap.gauge(name).expect("depth gauges are set at finish");
-        // Filled to capacity and never past it: the paused intake holds
-        // every submission, and each worker queue takes its batch in
-        // 2-item chunks.
+        // Filled to capacity and never past it: the paused ring holds
+        // every submission, and each worker takes at most the 2-request
+        // window per read.
         assert_eq!(peak(SERVE_INGRESS_DEPTH_PEAK), INGRESS as i64);
         assert_eq!(peak(SERVE_SHARD_DEPTH_PEAK), SHARD as i64);
-        // The collector queue holds `shard_capacity` too.
+        // Requests decided on a route and waiting to commit stay inside
+        // the window too.
         assert!(peak(SERVE_COLLECTOR_DEPTH_PEAK) <= SHARD as i64);
 
         let ids: Vec<u64> = served.iter().map(|r| r.id).collect();
@@ -286,10 +287,13 @@ fn panic_of(engine: impl FnOnce() + Send + 'static) -> Option<String> {
         .expect("an engine hung on a panicking detector")
 }
 
-/// The regression for the serving hang: a dead worker used to leave the
-/// collector, `finish` and `Drop` waiting forever (and, under Block,
-/// `submit` once its queue filled). Tiny queues make the old hang
-/// certain; both routes and both shard counts are covered.
+/// The regression for the serving hang: a dead worker must not leave
+/// `finish`, `Drop` or `submit` waiting forever. Under Block the ring is
+/// 2 slots deep, so `submit` waits on it; under Shed it has room for the
+/// whole stream, so nothing is shed, every fork reaches its 10th request
+/// and the dead worker leaves slots behind that only it could decide. A
+/// 2-request window makes a missed wake-up certain to hang; both routes,
+/// both shard counts and both overflow policies are covered.
 #[test]
 fn a_panicking_detector_fails_every_engine_without_hanging() {
     let requests = varied_requests(100);
@@ -310,25 +314,30 @@ fn a_panicking_detector_fails_every_engine_without_hanging() {
                 Some(DETECTOR_FAULT),
                 "ingest_stream at {shards} shards, {scope:?}"
             );
-            let served = requests.clone();
-            assert_eq!(
-                panic_of(move || {
-                    let mut service = faulty_site(scope).serve(ServeConfig {
-                        shards,
-                        ingress_capacity: 2,
-                        shard_capacity: 2,
-                        overflow: OverflowPolicy::Block,
-                        start_paused: false,
-                    });
-                    for request in served {
-                        service.submit(request);
-                    }
-                    service.finish();
-                })
-                .as_deref(),
-                Some(DETECTOR_FAULT),
-                "serve at {shards} shards, {scope:?}"
-            );
+            for (overflow, ingress_capacity) in [
+                (OverflowPolicy::Block, 2),
+                (OverflowPolicy::Shed, requests.len()),
+            ] {
+                let served = requests.clone();
+                assert_eq!(
+                    panic_of(move || {
+                        let mut service = faulty_site(scope).serve(ServeConfig {
+                            shards,
+                            ingress_capacity,
+                            shard_capacity: 2,
+                            overflow,
+                            start_paused: false,
+                        });
+                        for request in served {
+                            service.submit(request);
+                        }
+                        service.finish();
+                    })
+                    .as_deref(),
+                    Some(DETECTOR_FAULT),
+                    "serve at {shards} shards, {overflow:?}, {scope:?}"
+                );
+            }
         }
     }
 }
@@ -358,7 +367,10 @@ fn dropping_a_service_with_a_dead_worker_returns() {
 
 // ---------------------------------------------------------------------
 // Property: batch↔serve flag identity at 1, 2 and 8 shards, on
-// adversarial synthetic streams (shared cookies, shared IPs, churn).
+// adversarial synthetic streams (shared cookies, shared IPs, churn), with
+// a 4-request commit window and with the narrowest one: at 1, every read
+// waits on the commit before it, so a lost "window moved" wake-up hangs
+// the drain — which `finish_within_deadline` turns into a failure.
 
 proptest! {
     #[test]
@@ -386,22 +398,29 @@ proptest! {
         batch_site.ingest_all(requests.iter().cloned());
         let baseline = batch_site.into_store();
 
-        for shards in [1usize, 2, 8] {
+        for (shards, shard_capacity) in [(1usize, 4usize), (2, 4), (8, 4), (1, 1), (2, 1), (8, 1)] {
             let mut service = full_chain_site().serve(ServeConfig {
                 shards,
                 ingress_capacity: 4,
-                shard_capacity: 4,
+                shard_capacity,
                 overflow: OverflowPolicy::Block,
                 start_paused: false,
             });
             for request in requests.iter().cloned() {
                 prop_assert_eq!(service.submit(request), SubmitOutcome::Enqueued);
             }
-            let store = service.finish().into_store();
+            let store = finish_within_deadline(service).into_store();
             prop_assert_eq!(store.len(), baseline.len());
             for (a, b) in baseline.iter().zip(store.iter()) {
                 prop_assert_eq!(a.cookie, b.cookie);
-                prop_assert_eq!(&a.verdicts, &b.verdicts, "request {} at {} shards", a.id, shards);
+                prop_assert_eq!(
+                    &a.verdicts,
+                    &b.verdicts,
+                    "request {} at {} shards, window {}",
+                    a.id,
+                    shards,
+                    shard_capacity
+                );
             }
         }
     }
