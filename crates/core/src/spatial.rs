@@ -32,12 +32,12 @@ use fp_fingerprint::{Plausibility, ValidityOracle};
 use fp_honeysite::{RequestStore, StoredRequest};
 use fp_netsim::geo::offset_of_timezone;
 use fp_tls::expected_ja3_for_ua_browser;
+use fp_types::par::map_indexed;
 use fp_types::{AttrId, AttrValue};
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::fmt::Write;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Mining parameters.
 #[derive(Clone, Copy, Debug)]
@@ -152,40 +152,6 @@ fn mined_pairs(config: &MineConfig) -> Vec<(AnalysisAttr, AnalysisAttr)> {
         .filter(|category| category.in_paper || config.include_cross_layer)
         .flat_map(|category| category.pairs())
         .collect()
-}
-
-/// Run `work` for every index in `0..n` on scoped worker threads (each
-/// worker claims the next unclaimed index) and return the results in
-/// index order — identical to a sequential run.
-fn in_parallel<T: Send>(n: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let workers = std::thread::available_parallelism()
-        .map(|w| w.get())
-        .unwrap_or(1)
-        .min(n.max(1));
-    let next = AtomicUsize::new(0);
-    let (next, work) = (&next, &work);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut done = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            return done;
-                        }
-                        done.push((i, work(i)));
-                    }
-                })
-            })
-            .collect();
-        let mut indexed: Vec<(usize, T)> = handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("mining worker panicked"))
-            .collect();
-        indexed.sort_by_key(|(i, _)| *i);
-        indexed.into_iter().map(|(_, t)| t).collect()
-    })
 }
 
 /// One configuration of an attribute pair and how often the pool showed it.
@@ -318,9 +284,9 @@ impl PairCounts {
         let mut attrs: Vec<AnalysisAttr> = pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
         attrs.sort_unstable();
         attrs.dedup();
-        let columns = in_parallel(attrs.len(), |i| Column::gather(&pool, attrs[i]));
+        let columns = map_indexed(attrs.len(), |i| Column::gather(&pool, attrs[i]));
         let column = |attr| &columns[attrs.binary_search(&attr).expect("a mined attribute")];
-        let pairs = in_parallel(pairs.len(), |i| {
+        let pairs = map_indexed(pairs.len(), |i| {
             let (a, b) = (column(pairs[i].0), column(pairs[i].1));
             // Value ids follow value order, so sorted keys are sorted runs.
             let mut keys: Vec<u64> = a
@@ -361,16 +327,6 @@ impl PairCounts {
         self.pairs.len()
     }
 
-    /// Heap bytes the summary keeps resident.
-    pub fn heap_bytes(&self) -> usize {
-        self.pairs.capacity() * std::mem::size_of::<Vec<Config>>()
-            + self
-                .pairs
-                .iter()
-                .map(|p| p.capacity() * std::mem::size_of::<Config>())
-                .sum::<usize>()
-    }
-
     /// Pair `pair`'s left values with their distinct-partner counts (the
     /// configuration explosion Algorithm 1 ranks by), in run order.
     pub fn partner_counts(&self, pair: usize) -> Vec<(AttrValue, usize)> {
@@ -390,7 +346,7 @@ impl PairCounts {
             parts.iter().all(|p| p.pairs.len() == pairs.len()),
             "summaries counted under another MineConfig"
         );
-        let per_pair_rules = in_parallel(pairs.len(), |i| {
+        let per_pair_rules = map_indexed(pairs.len(), |i| {
             let (a, b) = pairs[i];
             let runs = merge_runs(&pair_lists(parts, i));
             let groups: Vec<&[Config]> = left_groups(&runs).collect();
@@ -725,7 +681,6 @@ mod tests {
             whole.partner_counts(device_resolution),
             [(AttrValue::text("iPhone"), 2)]
         );
-        assert!(whole.heap_bytes() > 0);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! the defender's [`DefenseStack`] (member chain + decision policy —
 //! by default the honey-site chain plus FP-Inconsistent's members, mined
 //! on round 0's paper traffic: mine offline, deploy online), the TTL
-//! blocklist the policy writes, and one [`AdaptationStrategy`] per bot
-//! service.
+//! blocklist the policy writes, and one [`AdaptationStrategy`] per
+//! adapting source: a bot service, the AI agents or the TLS laggards.
 //!
 //! A round is:
 //!
@@ -35,8 +35,8 @@
 //!    configured, `fp-spatial` re-runs Algorithm 1 over that window and
 //!    the *next* round's chain deploys the refreshed rules. The spend —
 //!    retraining *and* eviction — is recorded in the round's stats.
-//! 6. **Adapt** — each bot service observes its own visible outcome (and
-//!    nothing else) and updates its strategy for the next round.
+//! 6. **Adapt** — each adapting source observes its own visible outcome
+//!    (and nothing else) and updates its strategy for the next round.
 //!
 //! Everything is seeded and the per-round ingest is the shard-invariant
 //! pipeline, so a whole campaign replays identically at any shard count.
@@ -172,9 +172,9 @@ pub struct Arena {
     /// on the window's truthful traffic.
     spatial_churn: std::sync::Arc<ChurnLedger>,
     blocklist: TtlBlocklist,
-    strategies: HashMap<ServiceId, Box<dyn AdaptationStrategy>>,
-    laggard_strategy: Option<Box<dyn AdaptationStrategy>>,
-    agent_strategy: Option<Box<dyn AdaptationStrategy>>,
+    /// The adaptation table: each adapting source's strategy. Sources
+    /// without one send their traffic unchanged.
+    strategies: HashMap<TrafficSource, Box<dyn AdaptationStrategy>>,
     /// The behaviour member's live thresholds slot (shared with the
     /// member mounted by [`Arena::new`], like the spatial pack slot):
     /// the arena reads it to report the deployed cadence floor round by
@@ -278,12 +278,17 @@ impl Arena {
             spatial_pack,
             spatial_churn,
             blocklist,
-            strategies: HashMap::new(),
-            laggard_strategy: None,
-            agent_strategy: config.agent_humanise.map(|rate| {
-                Box::new(BehaviouralMutation::new(AGENT_HUMANISE_TRIGGER, rate))
-                    as Box<dyn AdaptationStrategy>
-            }),
+            strategies: config
+                .agent_humanise
+                .map(|rate| {
+                    let humanise = BehaviouralMutation::new(AGENT_HUMANISE_TRIGGER, rate);
+                    (
+                        TrafficSource::AiAgent,
+                        Box::new(humanise) as Box<dyn AdaptationStrategy>,
+                    )
+                })
+                .into_iter()
+                .collect(),
             behavior_slot: None,
             trajectory: TrajectoryReport::new(),
             generate_ns: registry.histogram(ROUND_GENERATE_NS),
@@ -315,15 +320,16 @@ impl Arena {
             .clone()
     }
 
-    /// Give one bot service an adaptation strategy (services without one
-    /// stay static).
-    pub fn set_strategy(&mut self, id: ServiceId, strategy: Box<dyn AdaptationStrategy>) {
-        self.strategies.insert(id, strategy);
-    }
-
-    /// Give the TLS-laggard cohort an adaptation strategy.
-    pub fn set_laggard_strategy(&mut self, strategy: Box<dyn AdaptationStrategy>) {
-        self.laggard_strategy = Some(strategy);
+    /// Give one adapting source — a bot service, the AI agents or the TLS
+    /// laggards — an adaptation strategy, replacing any it had (sources
+    /// without one stay static).
+    ///
+    /// # Panics
+    ///
+    /// Unless `source` is a bot: real users and privacy tools never adapt.
+    pub fn set_strategy(&mut self, source: TrafficSource, strategy: Box<dyn AdaptationStrategy>) {
+        assert!(source.is_bot(), "{source:?} never adapts");
+        self.strategies.insert(source, strategy);
     }
 
     /// The behaviour detector's currently deployed thresholds — the
@@ -349,14 +355,17 @@ impl Arena {
         use crate::strategy::{Composite, FingerprintMutation, IpRotation, TlsUpgrade};
         for id in ServiceId::all() {
             self.set_strategy(
-                id,
+                TrafficSource::Bot(id),
                 Box::new(Composite::new(vec![
                     Box::new(IpRotation::new(0.15, true)),
                     Box::new(FingerprintMutation::new(0.15, 0.85)),
                 ])),
             );
         }
-        self.set_laggard_strategy(Box::new(TlsUpgrade::new(0.15, 0.5)));
+        self.set_strategy(
+            TrafficSource::TlsLaggard,
+            Box::new(TlsUpgrade::new(0.15, 0.5)),
+        );
     }
 
     /// The arena's configuration.
@@ -613,43 +622,17 @@ impl Arena {
         self.trajectory.push(stats.clone());
 
         // Adaptation: every strategy sees its own source's outcome only.
-        for (id, strategy) in &mut self.strategies {
-            let source = TrafficSource::Bot(*id);
-            let outcome = outcomes.get(&source).copied().unwrap_or(RoundOutcome {
-                round,
-                ..RoundOutcome::default()
-            });
-            strategy.observe(&outcome);
-        }
-        if let Some(strategy) = &mut self.laggard_strategy {
-            let outcome =
-                outcomes
-                    .get(&TrafficSource::TlsLaggard)
-                    .copied()
-                    .unwrap_or(RoundOutcome {
-                        round,
-                        ..RoundOutcome::default()
-                    });
-            strategy.observe(&outcome);
-        }
-        if let Some(strategy) = &mut self.agent_strategy {
-            let outcome = outcomes
-                .get(&TrafficSource::AiAgent)
-                .copied()
-                .unwrap_or(RoundOutcome {
-                    round,
-                    ..RoundOutcome::default()
-                });
-            strategy.observe(&outcome);
-        }
-
-        self.round += 1;
-        RoundResult {
+        let result = RoundResult {
             round,
             store,
             outcomes,
             stats,
+        };
+        for (&source, strategy) in &mut self.strategies {
+            strategy.observe(&result.outcome(source));
         }
+        self.round += 1;
+        result
     }
 
     /// Play `rounds` rounds and return the accumulated trajectory.
@@ -706,8 +689,19 @@ impl Arena {
         let arena_rng = Splittable::new(self.config.seed)
             .child_str("arena")
             .child(u64::from(r));
-        let mut service_rngs: HashMap<ServiceId, Splittable> = ServiceId::all()
-            .map(|id| (id, arena_rng.child(u64::from(id.0))))
+        // Each adapting source's strategy with its own RNG stream.
+        let mut adapting: HashMap<_, _> = self
+            .strategies
+            .iter_mut()
+            .map(|(&source, strategy)| {
+                let rng = match source {
+                    TrafficSource::Bot(id) => arena_rng.child(u64::from(id.0)),
+                    TrafficSource::AiAgent => arena_rng.child_str("agents"),
+                    // The TLS laggards: `set_strategy` admits bots only.
+                    _ => arena_rng.child_str("laggards"),
+                };
+                (source, (strategy, rng))
+            })
             .collect();
         let mut mutation = MutationStats::default();
         let mut stream = Vec::with_capacity(
@@ -717,64 +711,32 @@ impl Arena {
                 + fresh.tls_laggards.len(),
         );
 
-        // Bot services: regenerated fleet, rewritten by each service's
-        // strategy. Tokens are seed-derived, so the regenerated requests
-        // are re-tokenised to the base campaign's registrations.
-        for mut request in fresh.bot_requests {
-            let TrafficSource::Bot(id) = request.source else {
-                continue;
-            };
-            request.site_token = self.base.token_of(id);
-            let rng = service_rngs.get_mut(&id).expect("every service has an rng");
-            if let Some(strategy) = self.strategies.get_mut(&id) {
-                if !rng.chance(strategy.volume_factor()) {
-                    continue; // retreat: this request is never sent
-                }
-                let receipt = strategy.apply(&mut request, rng);
-                absorb_receipt(&mut mutation, receipt);
-            }
-            request.time = shift_round(request.time, r);
-            stream.push(request);
-        }
-
-        // Truthful population: the same users and agents come back every
-        // round (their devices and habits don't change because a bot got
-        // blocked), just later in simulated time.
-        stream.extend(self.base.real_users.iter().map(|u| {
-            let mut request = u.request.clone();
-            request.time = shift_round(request.time, r);
-            request
-        }));
-
-        // AI agents: the same task fleet, but its operator may adapt the
-        // *pacing* under pressure (the FP-Agent counter-move). Everything
-        // else about the agents — devices, truthful TLS, tasks — is
-        // replayed verbatim.
-        let mut agent_rng = arena_rng.child_str("agents");
-        let agent_strategy = &mut self.agent_strategy;
-        stream.extend(self.base.ai_agents.iter().filter_map(|a| {
-            let mut request = a.clone();
-            if let Some(strategy) = agent_strategy {
-                if !agent_rng.chance(strategy.volume_factor()) {
-                    return None;
-                }
-                let receipt = strategy.apply(&mut request, &mut agent_rng);
-                absorb_receipt(&mut mutation, receipt);
-            }
-            request.time = shift_round(request.time, r);
+        // The regenerated bot services and TLS laggards, re-tokenised to
+        // the base campaign's registrations (tokens are seed-derived); the
+        // truthful users and the AI agents' task fleet, the same
+        // population every round (their devices and habits don't change
+        // because a bot got blocked). Every request takes one adapt step:
+        // its source's strategy may retreat (the request is never sent)
+        // or rewrite it, then it is shifted into round `r`.
+        let base = &self.base;
+        let bots = fresh.bot_requests.into_iter().filter_map(|mut request| {
+            request.site_token = base.token_of(request.source.service()?);
             Some(request)
-        }));
-
-        // The TLS-laggard cohort: regenerated fleet under its strategy.
-        let mut laggard_rng = arena_rng.child_str("laggards");
-        for mut request in fresh.tls_laggards {
-            request.site_token = self.base.tls_laggard_token();
-            if let Some(strategy) = &mut self.laggard_strategy {
-                if !laggard_rng.chance(strategy.volume_factor()) {
+        });
+        let laggards = fresh.tls_laggards.into_iter().map(|mut request| {
+            request.site_token = base.tls_laggard_token();
+            request
+        });
+        let requests = bots
+            .chain(base.real_users.iter().map(|u| u.request.clone()))
+            .chain(base.ai_agents.iter().cloned())
+            .chain(laggards);
+        for mut request in requests {
+            if let Some((strategy, rng)) = adapting.get_mut(&request.source) {
+                if !rng.chance(strategy.volume_factor()) {
                     continue;
                 }
-                let receipt = strategy.apply(&mut request, &mut laggard_rng);
-                absorb_receipt(&mut mutation, receipt);
+                absorb_receipt(&mut mutation, strategy.apply(&mut request, rng));
             }
             request.time = shift_round(request.time, r);
             stream.push(request);
@@ -802,7 +764,7 @@ fn absorb_receipt(stats: &mut MutationStats, receipt: crate::strategy::MutationR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::{FingerprintMutation, IpRotation, Static};
+    use crate::strategy::{FingerprintMutation, IpRotation, MutationReceipt, Static};
     use fp_types::detect::provenance;
 
     fn tiny_config(policy: ResponsePolicy) -> ArenaConfig {
@@ -889,8 +851,11 @@ mod tests {
             let mut config = tiny_config(ResponsePolicy::block(ROUND_SECS));
             config.shards = shards;
             let mut arena = Arena::new(config);
-            arena.set_strategy(ServiceId(1), Box::new(Static));
-            arena.set_strategy(ServiceId(2), Box::new(IpRotation::new(0.1, true)));
+            arena.set_strategy(TrafficSource::Bot(ServiceId(1)), Box::new(Static));
+            arena.set_strategy(
+                TrafficSource::Bot(ServiceId(2)),
+                Box::new(IpRotation::new(0.1, true)),
+            );
             let r0 = arena.step();
             let r1 = arena.step();
             (r0.store, r1.store)
@@ -914,7 +879,10 @@ mod tests {
         let run = |mutate_s1: bool| {
             let mut arena = Arena::new(tiny_config(ResponsePolicy::block(ROUND_SECS)));
             if mutate_s1 {
-                arena.set_strategy(ServiceId(1), Box::new(FingerprintMutation::new(0.05, 1.0)));
+                arena.set_strategy(
+                    TrafficSource::Bot(ServiceId(1)),
+                    Box::new(FingerprintMutation::new(0.05, 1.0)),
+                );
             }
             arena.step();
             let r1 = arena.step();
@@ -929,10 +897,56 @@ mod tests {
         assert_eq!(run(false), run(true), "S3's traffic is unaffected by S1");
     }
 
+    /// A static strategy that logs every outcome it observes.
+    struct Recorder(Arc<std::sync::Mutex<Vec<RoundOutcome>>>);
+
+    impl AdaptationStrategy for Recorder {
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+        fn observe(&mut self, outcome: &RoundOutcome) {
+            self.0.lock().unwrap().push(*outcome);
+        }
+        fn apply(&mut self, _request: &mut Request, _rng: &mut Splittable) -> MutationReceipt {
+            MutationReceipt::NONE
+        }
+    }
+
+    #[test]
+    fn laggard_and_agent_strategies_observe_only_their_own_outcome() {
+        let mut arena = Arena::new(tiny_config(ResponsePolicy::block(ROUND_SECS)));
+        let sources = [TrafficSource::TlsLaggard, TrafficSource::AiAgent];
+        let logs = sources.map(|source| {
+            let log = Arc::default();
+            arena.set_strategy(source, Box::new(Recorder(Arc::clone(&log))));
+            log
+        });
+        let rounds: Vec<RoundResult> = (0..2).map(|_| arena.step()).collect();
+        for (source, log) in sources.into_iter().zip(logs) {
+            let own: Vec<RoundOutcome> = rounds.iter().map(|r| r.outcome(source)).collect();
+            assert_eq!(*log.lock().unwrap(), own, "{source:?}");
+        }
+        assert_ne!(
+            rounds[0].outcome(sources[0]),
+            rounds[0].outcome(sources[1]),
+            "the cohorts' outcomes differ, so neither log holds the other's"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "never adapts")]
+    fn real_users_take_no_strategy() {
+        let mut arena = Arena::new(tiny_config(ResponsePolicy::shadow()));
+        arena.set_strategy(TrafficSource::RealUser, Box::new(Static));
+    }
+
     #[test]
     fn mutation_spend_is_accounted() {
         let mut arena = Arena::new(tiny_config(ResponsePolicy::block(ROUND_SECS)));
-        arena.set_strategy(ServiceId(1), Box::new(FingerprintMutation::new(0.05, 1.0)));
+        arena.set_strategy(
+            TrafficSource::Bot(ServiceId(1)),
+            Box::new(FingerprintMutation::new(0.05, 1.0)),
+        );
         arena.step();
         let r1 = arena.step();
         assert!(r1.stats.mutation.adapted_requests > 0);

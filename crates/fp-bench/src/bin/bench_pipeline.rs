@@ -70,10 +70,7 @@ struct ServeRun {
 }
 
 fn main() {
-    let scale = match std::env::var("FP_SCALE") {
-        Ok(v) => Scale::ratio(v.parse().expect("FP_SCALE must be a fraction in (0,1]")),
-        Err(_) => Scale::ratio(0.05),
-    };
+    let scale = fp_bench::env::scale_or(Scale::ratio(0.05));
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

@@ -2,17 +2,17 @@
 //!
 //! Generates all twenty services, merges the streams in arrival order, and
 //! exposes the ground-truth designs for calibration. Generation is
-//! CPU-bound, so it runs on plain `std::thread::scope` workers, not async:
-//! one per core (at most one per service), each taking the next service
-//! off a shared counter. A service's stream depends only on its own seeded
-//! RNG, so the merged campaign is the same at any worker count.
+//! CPU-bound, so it runs on [`fp_types::par::map_indexed`]'s scoped
+//! workers, not async: one per core (at most one per service), each
+//! taking the next service off a shared counter. A service's stream
+//! depends only on its own seeded RNG, so the merged campaign is the same
+//! at any worker count.
 
 use crate::realuser::{self, RealUserRequest};
 use crate::service::{self, DesignInfo as ServiceDesign, GeneratedRequest};
 use crate::spec::SERVICES;
+use fp_types::par::map_indexed;
 use fp_types::{Request, Scale, ServiceId, SimTime, Symbol};
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub use crate::service::DesignInfo;
 
@@ -70,41 +70,16 @@ pub struct AdversarialTraffic {
 /// Generate all twenty services and yield their requests in arrival
 /// order.
 ///
-/// `min(SERVICES.len(), available_parallelism)` workers, the caller's
-/// thread among them, each generate the next service index off a shared
-/// counter until none is left. The merge then sorts `(time, flat index)`
-/// keys, where the flat index counts through the services in order, and
-/// moves each request out once. The keys are unique, so the order is that
-/// of a stable sort by time of the services' streams concatenated: ties
-/// stay in service order, then in generation order.
+/// The services generate on [`map_indexed`]'s workers. The merge then
+/// sorts `(time, flat index)` keys, where the flat index counts through
+/// the services in order, and moves each request out once. The keys are
+/// unique, so the order is that of a stable sort by time of the services'
+/// streams concatenated: ties stay in service order, then in generation
+/// order.
 fn generate_services(config: CampaignConfig) -> impl ExactSizeIterator<Item = GeneratedRequest> {
-    let workers = std::thread::available_parallelism()
-        .map_or(1, NonZeroUsize::get)
-        .min(SERVICES.len());
-    let next = AtomicUsize::new(0);
-    let work = || {
-        let mut done = Vec::new();
-        loop {
-            let index = next.fetch_add(1, Ordering::Relaxed);
-            let Some(spec) = SERVICES.get(index) else {
-                break done;
-            };
-            done.push((index, service::generate(spec, config.scale, config.seed)));
-        }
-    };
-    let mut per_service: Vec<Vec<GeneratedRequest>> = Vec::with_capacity(SERVICES.len());
-    per_service.resize_with(SERVICES.len(), Vec::new);
-    std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
-        let mut done = work();
-        for helper in helpers {
-            done.extend(helper.join().expect("service generator panicked"));
-        }
-        for (index, stream) in done {
-            per_service[index] = stream;
-        }
+    let per_service = map_indexed(SERVICES.len(), |index| {
+        service::generate(&SERVICES[index], config.scale, config.seed)
     });
-
     let total = per_service.iter().map(Vec::len).sum();
     let mut keys: Vec<(SimTime, u32)> = Vec::with_capacity(total);
     let mut slots: Vec<Option<GeneratedRequest>> = Vec::with_capacity(total);

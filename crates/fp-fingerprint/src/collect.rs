@@ -19,9 +19,11 @@ use crate::browser::{BrowserFamily, BrowserProfile};
 use crate::catalog;
 use crate::device::{DeviceKind, DeviceProfile};
 use crate::ua;
+use fp_types::fingerprint::Fnv64;
 use fp_types::{AttrId, AttrValue, Fingerprint, Splittable};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::Hasher;
 
 /// Locale facts injected by the caller (the geo substrate lives in
 /// `fp-netsim`; this keeps the crates acyclic).
@@ -340,12 +342,9 @@ pub fn ch_platform(kind: DeviceKind) -> &'static str {
 }
 
 fn fnv(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+    let mut h = Fnv64::default();
+    h.write(s.as_bytes());
+    h.finish()
 }
 
 #[cfg(test)]

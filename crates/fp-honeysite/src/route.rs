@@ -17,8 +17,10 @@
 //!   per shard and route, and each of its threads hosts the forks of
 //!   several shards; the sequential engine is one worker over the whole
 //!   chain — one shard on which both routes coincide.
-//! * [`Routes::commit`] — a request's tagged verdicts from every route,
-//!   merged into chain order under their interned names.
+//! * [`Routes::commit`] — a request's verdicts as one bitmask, bit `i`
+//!   set when chain position `i` said Bot: each route's worker sets its
+//!   own positions' bits, and the commit records every position in chain
+//!   order under its interned name.
 //!
 //! [`HoneySite::ingest`]: crate::HoneySite::ingest
 //! [`HoneySite::ingest_stream`]: crate::HoneySite::ingest_stream
@@ -32,9 +34,13 @@ use fp_types::{sym, Symbol};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Verdicts tagged by chain position, so a commit can interleave the
-/// routes' entries back into chain order.
-pub(crate) type TaggedVerdicts = Vec<(usize, Verdict)>;
+/// The longest chain: one verdict bit per chain position in a `u64`.
+const MAX_CHAIN: usize = u64::BITS as usize;
+
+/// Bit `position` of a verdict mask: set when `verdict` is Bot.
+fn bot_bit(position: usize, verdict: Verdict) -> u64 {
+    u64::from(verdict.is_bot()) << position
+}
 
 /// The chain split by state anchor, with each detector's provenance name
 /// interned once.
@@ -59,8 +65,16 @@ impl Routes {
     }
 
     /// Route one more detector, appended at the end of the chain.
+    ///
+    /// # Panics
+    ///
+    /// On a 65th detector: its verdict bit would not fit the mask.
     pub(crate) fn push(&mut self, detector: &dyn Detector) {
         let position = self.names.len();
+        assert!(
+            position < MAX_CHAIN,
+            "a detector chain holds at most {MAX_CHAIN} detectors, one verdict bit each"
+        );
         self.names.push(sym(detector.name()));
         match detector.scope() {
             StateScope::PerCookie => self.cookie.push(position),
@@ -79,25 +93,14 @@ impl Routes {
     }
 
     /// Record one request's verdicts in chain order, so provenance order
-    /// never depends on the engine or the shard count. Each of `lists` is
-    /// one route's share, ascending by chain position as
-    /// [`RouteWorker::observe`] returns it; the lists are merged into a
-    /// verdict set reserved once to the chain's length.
-    pub(crate) fn commit<const N: usize>(
-        &self,
-        record: &mut StoredRequest,
-        mut lists: [&[(usize, Verdict)]; N],
-    ) {
+    /// never depends on the engine or the shard count. Bit `i` of `bots`
+    /// is set when the detector at chain position `i` said Bot — the OR
+    /// of every route's [`RouteWorker::observe`] mask.
+    pub(crate) fn commit(&self, record: &mut StoredRequest, bots: u64) {
         record.verdicts.reserve(self.names.len());
-        while let Some(list) = lists
-            .iter_mut()
-            .filter(|list| !list.is_empty())
-            .min_by_key(|list| list[0].0)
-        {
-            let current: &[(usize, Verdict)] = list;
-            let (&(position, verdict), rest) = current.split_first().expect("filtered non-empty");
-            record.verdicts.record(self.names[position], verdict);
-            *list = rest;
+        for (position, &name) in self.names.iter().enumerate() {
+            let verdict = Verdict::from_flag((bots >> position) & 1 == 1);
+            record.verdicts.record(name, verdict);
         }
     }
 }
@@ -164,30 +167,30 @@ impl RouteWorker {
         self.unflushed = false;
     }
 
-    /// Run every detector over one record, in chain order. `seq` is the
-    /// request's arrival index among admitted requests: 1 in
+    /// Run every detector over one record, in chain order, and return its
+    /// verdicts as a mask: bit `i` set when chain position `i` said Bot.
+    /// `seq` is the request's arrival index among admitted requests: 1 in
     /// [`DETECTOR_TIMING_SAMPLE`] of them is timed with chained stamps —
     /// one clock read per detector, the gap between consecutive stamps is
     /// that detector's `observe()` time. Keying on the arrival index makes
     /// the sampled set, and so every timing histogram's count,
     /// deterministic and shard-count-invariant.
-    pub(crate) fn observe(&mut self, seq: u64, record: &StoredRequest) -> TaggedVerdicts {
+    pub(crate) fn observe(&mut self, seq: u64, record: &StoredRequest) -> u64 {
         let detectors = self.positions.iter().zip(&mut self.detectors);
         if self.timings.is_empty() || !seq.is_multiple_of(DETECTOR_TIMING_SAMPLE) {
-            return detectors.map(|(&i, d)| (i, d.observe(record))).collect();
+            return detectors.fold(0, |bots, (&i, d)| bots | bot_bit(i, d.observe(record)));
         }
         self.unflushed = true;
         let mut last = Instant::now();
         detectors
             .zip(&mut self.timings)
-            .map(|((&i, d), timing)| {
+            .fold(0, |bots, ((&i, d), timing)| {
                 let verdict = d.observe(record);
                 let now = Instant::now();
                 timing.record((now - last).as_nanos() as u64);
                 last = now;
-                (i, verdict)
+                bots | bot_bit(i, verdict)
             })
-            .collect()
     }
 
     /// Fold the private timings into the shared histograms (indexed by

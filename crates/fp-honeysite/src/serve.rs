@@ -68,7 +68,8 @@
 //!   sequential loop would have shown it — verdict-for-verdict
 //!   equivalence at any shard count (property-tested in `tests/serve.rs`
 //!   and `tests/streaming.rs`).
-//! * **In-order commit by the worker that decides last**: under the ring
+//! * **In-order commit by the worker that decides last**: each route's
+//!   worker ORs its verdict bits into the slot's one mask; under the ring
 //!   lock, the worker whose verdicts complete the front slot commits it
 //!   and every complete slot behind it, through the kernel's chain-order
 //!   commit, into the store the site lends at `serve` and gets back at
@@ -76,7 +77,7 @@
 //!   ([`HoneySite::set_epoch_every`]) and retention therefore match the
 //!   sequential loop while the service runs.
 
-use crate::route::{RouteWorker, Routes, TaggedVerdicts};
+use crate::route::{RouteWorker, Routes};
 use crate::site::{derive_record, HoneySite};
 use crate::store::{RequestStore, StoredRequest};
 use fp_obs::{Counter, Gauge, Histogram, LocalHistogram};
@@ -122,8 +123,9 @@ struct Slot {
     record: Arc<StoredRequest>,
     /// Each route's `(worker, fork)`: the IP route, then the cookie route.
     routes: [(usize, usize); 2],
-    /// Each route's verdicts, indexed like `routes`.
-    verdicts: [TaggedVerdicts; 2],
+    /// The verdict mask (see [`Routes::commit`]): each route's deposit
+    /// ORs its chain positions' bits in.
+    bots: u64,
     /// Routes not decided yet: the slot commits at 0.
     undecided: u8,
     /// Admission stamp (the latency window opens here); only taken when
@@ -260,7 +262,7 @@ impl Worker {
         let ring = self.ring.clone();
         let window = ring.window;
         let mut batch: Vec<(u64, usize, usize, Arc<StoredRequest>)> = Vec::new();
-        let mut decided: Vec<(u64, usize, TaggedVerdicts)> = Vec::new();
+        let mut decided: Vec<(u64, usize, u64)> = Vec::new();
         let mut rouse: Vec<usize> = Vec::new();
         let mut s = ring.lock();
         loop {
@@ -310,9 +312,9 @@ impl Worker {
                 return;
             }
             let front = s.front;
-            for (seq, route, verdicts) in decided.drain(..) {
+            for (seq, route, bots) in decided.drain(..) {
                 let slot = &mut s.slots[(seq - front) as usize];
-                slot.verdicts[route] = verdicts;
+                slot.bots |= bots;
                 slot.undecided -= 1;
                 s.decided[route] += 1;
                 s.peaks[2] = s.peaks[2].max(s.decided[route]);
@@ -353,8 +355,7 @@ impl Worker {
             let slot = s.slots.pop_front().expect("checked above");
             let mut record = Arc::into_inner(slot.record)
                 .expect("both routes dropped their handles before deciding");
-            let [ip, cookie] = &slot.verdicts;
-            self.routes.commit(&mut record, [ip, cookie]);
+            self.routes.commit(&mut record, slot.bots);
             if let Some(stamp) = slot.stamp {
                 let now = *now.get_or_insert_with(Instant::now);
                 self.local
@@ -552,7 +553,7 @@ impl FpService {
         self.ring.push(Slot {
             record,
             routes,
-            verdicts: [Vec::new(), Vec::new()],
+            bots: 0,
             undecided: 2,
             stamp,
         });

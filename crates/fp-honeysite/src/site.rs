@@ -238,8 +238,8 @@ impl HoneySite {
         // interchangeable. The arrival index of this admitted request
         // (rejections never get here) keys the deterministic
         // detector-timing sample.
-        let tagged = self.chain.observe(self.store.total_ingested(), &record);
-        self.routes.commit(&mut record, [&tagged]);
+        let bots = self.chain.observe(self.store.total_ingested(), &record);
+        self.routes.commit(&mut record, bots);
         let id = self.store.push(record);
         if let (Some(m), Some(start)) = (&self.metrics, start) {
             self.chain.flush(&m.detector_ns);
@@ -477,25 +477,74 @@ mod tests {
         }
     }
 
+    /// A detector that always returns one verdict.
+    struct Fixed(&'static str, fp_types::StateScope, Verdict);
+
+    impl Detector for Fixed {
+        fn name(&self) -> &'static str {
+            self.0
+        }
+        fn scope(&self) -> fp_types::StateScope {
+            self.1
+        }
+        fn observe(&mut self, _r: &StoredRequest) -> Verdict {
+            self.2
+        }
+        fn fork(&self) -> Box<dyn Detector> {
+            Box::new(Fixed(self.0, self.1, self.2))
+        }
+    }
+
+    /// 63 stateless "human" detectors, then a per-cookie "last" one that
+    /// says Bot: the longest chain, its last verdict on the mask's top bit
+    /// and on the cookie route.
+    fn full_chain() -> Vec<Box<dyn Detector>> {
+        let human = || Fixed("human", fp_types::StateScope::Stateless, Verdict::Human);
+        let mut chain: Vec<Box<dyn Detector>> = (0..63)
+            .map(|_| Box::new(human()) as Box<dyn Detector>)
+            .collect();
+        chain.push(Box::new(Fixed(
+            "last",
+            fp_types::StateScope::PerCookie,
+            Verdict::Bot,
+        )));
+        chain
+    }
+
+    #[test]
+    fn a_64_detector_chain_records_its_last_verdict() {
+        let mut sequential = HoneySite::with_chain(full_chain());
+        let mut served = HoneySite::with_chain(full_chain());
+        for site in [&mut sequential, &mut served] {
+            site.register_token(sym("tok"));
+        }
+        sequential.ingest(request(sym("tok"), None));
+        served.ingest_stream([request(sym("tok"), None)], 2);
+        for site in [&sequential, &served] {
+            let r = site.store().iter().next().expect("one record");
+            assert!(r.verdicts.bot("last"));
+            assert!(!r.verdicts.bot("human"));
+            assert_eq!(r.verdicts.len(), 2, "duplicate names share one entry");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 detectors")]
+    fn a_65th_detector_panics_at_push() {
+        let mut site = HoneySite::with_chain(full_chain());
+        // Its bit would shift past the mask (onto bit 0 in a release build).
+        site.push_detector(Box::new(Fixed(
+            "65th",
+            fp_types::StateScope::Stateless,
+            Verdict::Bot,
+        )));
+    }
+
     #[test]
     fn custom_chain_extends_provenance() {
-        struct AlwaysBot;
-        impl Detector for AlwaysBot {
-            fn name(&self) -> &'static str {
-                "always-bot"
-            }
-            fn scope(&self) -> fp_types::StateScope {
-                fp_types::StateScope::Stateless
-            }
-            fn observe(&mut self, _r: &StoredRequest) -> Verdict {
-                Verdict::Bot
-            }
-            fn fork(&self) -> Box<dyn Detector> {
-                Box::new(AlwaysBot)
-            }
-        }
+        let always_bot = Fixed("always-bot", fp_types::StateScope::Stateless, Verdict::Bot);
         let mut site = HoneySite::new();
-        site.push_detector(Box::new(AlwaysBot));
+        site.push_detector(Box::new(always_bot));
         site.register_token(sym("tok"));
         let id = site.ingest(request(sym("tok"), None)).unwrap();
         let r = site.store().get(id).unwrap();

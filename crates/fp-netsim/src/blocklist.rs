@@ -234,12 +234,6 @@ impl TtlBlocklist {
         denied
     }
 
-    /// Convenience: check a raw address (hashes it the same way the store
-    /// does).
-    pub fn contains_ip(&self, ip: Ipv4Addr, now: SimTime) -> bool {
-        self.contains(NetDb::hash_ip(ip), now)
-    }
-
     /// Drop every entry whose expiry — and strike memory, if any — has
     /// passed; offense history goes with it, so a swept repeat offender
     /// restarts its escalation ladder. Returns how many entries were
@@ -541,15 +535,5 @@ mod tests {
         assert!(list.contains(2, t0 + 500));
         assert_eq!(list.purge_expired(t0 + 5_000), 1);
         assert!(list.is_empty());
-    }
-
-    #[test]
-    fn ttl_raw_address_check_matches_the_store_hash() {
-        let mut list = TtlBlocklist::new();
-        let ip = Ipv4Addr::new(52, 9, 9, 9);
-        let now = SimTime::from_day(1, 0);
-        list.block(NetDb::hash_ip(ip), now, 600);
-        assert!(list.contains_ip(ip, now));
-        assert!(!list.contains_ip(Ipv4Addr::new(52, 9, 9, 10), now));
     }
 }

@@ -1,16 +1,12 @@
-//! The three instruments: striped [`Counter`], [`Gauge`], log2-bucket
+//! The three instruments: [`Counter`], [`Gauge`], log2-bucket
 //! [`Histogram`] (plus its shard-local and snapshot forms).
 
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// Number of histogram buckets: one for the value `0` plus one per power of
 /// two up to `2^63` (bucket 64 absorbs everything from `2^63` to
 /// `u64::MAX`).
 pub const HISTOGRAM_BUCKETS: usize = 65;
-
-/// Stripes per [`Counter`]. Eight covers the shard counts the streaming
-/// pipeline is exercised at (1/2/4/8) without making `value()` walks long.
-const COUNTER_STRIPES: usize = 8;
 
 /// Bucket index for a recorded value: `0` for `0`, otherwise
 /// `floor(log2(v)) + 1`.
@@ -34,47 +30,27 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
     }
 }
 
-/// One cache line per stripe so shard workers bumping the same counter
-/// don't false-share.
-#[repr(align(64))]
-#[derive(Debug)]
-struct PaddedAtomicU64(AtomicU64);
-
-/// Per-thread stripe assignment: threads round-robin over the stripes at
-/// first touch, so a worker keeps hitting its own line for its lifetime.
-static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
-thread_local! {
-    static STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % COUNTER_STRIPES;
-}
-
-/// A monotonic event counter, striped across padded atomics.
+/// A monotonic event counter: one relaxed `AtomicU64`.
 ///
-/// `add` is a single relaxed `fetch_add` on the calling thread's stripe;
-/// `value()` sums the stripes (monotone but not a linearisable point-read,
-/// which is fine for metrics).
-#[derive(Debug)]
+/// Every counter in the workspace has one writer at a time — admission
+/// counts on the caller's thread, store counts under the serving ring's
+/// lock or in the sequential loop, blocklist and re-mine counts on the
+/// arena's thread — so one atomic has no line to contend on.
+#[derive(Debug, Default)]
 pub struct Counter {
-    stripes: [PaddedAtomicU64; COUNTER_STRIPES],
-}
-
-impl Default for Counter {
-    fn default() -> Self {
-        Self::new()
-    }
+    value: AtomicU64,
 }
 
 impl Counter {
     /// A counter at zero.
     pub fn new() -> Self {
-        Counter {
-            stripes: std::array::from_fn(|_| PaddedAtomicU64(AtomicU64::new(0))),
-        }
+        Self::default()
     }
 
     /// Add `n` events.
     #[inline]
     pub fn add(&self, n: u64) {
-        STRIPE.with(|&s| self.stripes[s].0.fetch_add(n, Ordering::Relaxed));
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Add one event.
@@ -83,12 +59,9 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current total across all stripes.
+    /// Current total.
     pub fn value(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.value.load(Ordering::Relaxed)
     }
 }
 
@@ -439,18 +412,14 @@ mod tests {
         assert_eq!(d.buckets[bucket_index(100)], 1);
     }
 
-    /// The determinism contract: values derived from `SimClock` ticks make
-    /// every downstream artifact byte-stable.
+    /// The determinism contract: values derived from simulated ticks, not
+    /// the wall clock, make every downstream artifact byte-stable.
     #[test]
     fn sim_clock_ticks_make_snapshots_deterministic() {
-        use fp_types::SimClock;
         let run = || {
-            let mut clock = SimClock::new();
             let h = Histogram::new();
-            for step in 1..=50 {
-                let before = clock.now();
-                clock.advance(step % 7 + 1);
-                h.record(clock.now().nanos_since(before));
+            for step in 1..=50u64 {
+                h.record((step % 7 + 1) * 1_000_000_000);
             }
             h.snapshot()
         };

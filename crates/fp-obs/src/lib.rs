@@ -3,8 +3,8 @@
 //! Everything the hot path records goes through three instruments, all
 //! lock-free on the record side and mergeable across shards:
 //!
-//! * [`Counter`] — a monotonic event count striped over cache-line-padded
-//!   atomics so concurrent shard workers don't contend on one line.
+//! * [`Counter`] — a monotonic event count in one relaxed atomic: every
+//!   counter has one writer at a time, so there is nothing to stripe.
 //! * [`Gauge`] — a settable signed level (resident records, active rules).
 //! * [`Histogram`] — a fixed 65-slot log2-bucket distribution (bucket 0
 //!   holds the value 0; bucket *i* covers `[2^(i-1), 2^i - 1]`). Recording
@@ -15,9 +15,9 @@
 //!   merging per-shard histograms is bucket-wise addition, so any shard
 //!   count aggregates to identical totals.
 //!
-//! Instruments live in a [`MetricsRegistry`] keyed by the `fp-types`
-//! interner: callers resolve a name to an `Arc` handle once and record
-//! through the handle, so the hot path never hashes a string. A registry
+//! Instruments live in a [`MetricsRegistry`] keyed by name: callers
+//! resolve a name to an `Arc` handle once and record through the handle,
+//! so the hot path never looks a name up. A registry
 //! [`ObsSnapshot`] is a plain, name-sorted value — subtract two with
 //! [`ObsSnapshot::delta`] to get a per-round view ([`RoundObs`]).
 //!
@@ -28,7 +28,7 @@
 //! text format back for self-checks and CI assertions.
 //!
 //! Determinism contract: instruments hold no clock. Feed them wall-clock
-//! durations and snapshots vary run to run; feed them [`fp_types::SimTime`]
+//! durations and snapshots vary run to run; feed them simulated-time
 //! ticks and every snapshot, ledger line and rendered exposition is
 //! byte-stable. That is why execution-time metrics stay **out** of the
 //! `RUNFP_V1` `behavior` fold — they are an execution parameter, like the

@@ -1,13 +1,12 @@
-//! The interner-keyed [`MetricsRegistry`] and its plain-value snapshots.
+//! The name-keyed [`MetricsRegistry`] and its plain-value snapshots.
 
 use crate::instrument::{Counter, Gauge, Histogram, HistogramSnapshot};
-use fp_types::{sym, Symbol};
 use std::sync::{Arc, Mutex};
 
 /// A live instrument handle as the registry stores it.
 #[derive(Clone, Debug)]
 pub enum Instrument {
-    /// A striped monotonic counter.
+    /// A monotonic counter.
     Counter(Arc<Counter>),
     /// A settable signed level.
     Gauge(Arc<Gauge>),
@@ -16,14 +15,14 @@ pub enum Instrument {
 }
 
 struct Entry {
-    name: Symbol,
+    name: String,
     instrument: Instrument,
 }
 
-/// A registry of named instruments, keyed by the `fp-types` interner.
+/// A registry of named instruments, keyed by name.
 ///
-/// Callers resolve a name **once** (taking the registry lock and an interner
-/// lookup) and hold the returned `Arc` handle; every record after that is a
+/// Callers resolve a name **once** (taking the registry lock and a scan of
+/// the registered names) and hold the returned `Arc` handle; every record after that is a
 /// lock-free atomic on the instrument itself. Re-registering a name returns
 /// the existing handle, so any number of components can share one metric;
 /// asking for an existing name as a *different* instrument kind panics —
@@ -47,14 +46,13 @@ impl MetricsRegistry {
     }
 
     fn get_or_insert(&self, name: &str, make: impl FnOnce() -> Instrument) -> Instrument {
-        let key = sym(name);
         let mut entries = self.entries.lock().unwrap();
-        if let Some(e) = entries.iter().find(|e| e.name == key) {
+        if let Some(e) = entries.iter().find(|e| e.name == name) {
             return e.instrument.clone();
         }
         let instrument = make();
         entries.push(Entry {
-            name: key,
+            name: name.to_string(),
             instrument: instrument.clone(),
         });
         instrument
@@ -101,7 +99,7 @@ impl MetricsRegistry {
         let mut metrics: Vec<MetricValue> = entries
             .iter()
             .map(|e| MetricValue {
-                name: e.name.as_str().to_string(),
+                name: e.name.clone(),
                 value: match &e.instrument {
                     Instrument::Counter(c) => Value::Counter(c.value()),
                     Instrument::Gauge(g) => Value::Gauge(g.value()),

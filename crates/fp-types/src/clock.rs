@@ -50,14 +50,6 @@ impl SimTime {
         STUDY_EPOCH_UNIX + self.0
     }
 
-    /// Nanoseconds elapsed since `earlier` (saturating at zero, like
-    /// [`Sub`]). Simulated seconds are the clock's resolution; this is the
-    /// bridge to nanosecond-denominated instruments (`fp-obs` histograms),
-    /// so tests can feed them deterministic durations instead of wall time.
-    pub fn nanos_since(self, earlier: SimTime) -> u64 {
-        (self - earlier).saturating_mul(1_000_000_000)
-    }
-
     /// Human-readable calendar date within the study window, e.g. `Sep 15`.
     /// Days past the window keep counting into a synthetic `Dec+`.
     pub fn calendar(self) -> String {
@@ -99,47 +91,6 @@ impl fmt::Display for SimTime {
     }
 }
 
-/// A monotonically advancing simulated clock. Generators own one and advance
-/// it as they emit requests; it is plain state, not a global.
-#[derive(Clone, Debug)]
-pub struct SimClock {
-    now: SimTime,
-}
-
-impl SimClock {
-    /// A clock starting at the study epoch.
-    pub fn new() -> SimClock {
-        SimClock {
-            now: SimTime::EPOCH,
-        }
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Advance by `secs` seconds and return the new time.
-    pub fn advance(&mut self, secs: u64) -> SimTime {
-        self.now = self.now + secs;
-        self.now
-    }
-
-    /// Jump to `t` if it is in the future (clocks never go backwards).
-    pub fn advance_to(&mut self, t: SimTime) -> SimTime {
-        if t > self.now {
-            self.now = t;
-        }
-        self.now
-    }
-}
-
-impl Default for SimClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,29 +119,10 @@ mod tests {
     }
 
     #[test]
-    fn clock_is_monotonic() {
-        let mut c = SimClock::new();
-        c.advance(100);
-        let t1 = c.now();
-        c.advance_to(SimTime(50));
-        assert_eq!(c.now(), t1, "advance_to must not rewind");
-        c.advance_to(SimTime(500));
-        assert_eq!(c.now(), SimTime(500));
-    }
-
-    #[test]
     fn second_of_day_wraps() {
         let t = SimTime::from_day(2, 90_000);
         assert_eq!(t.second_of_day(), 90_000 % 86_400);
         assert_eq!(t.day(), 2);
-    }
-
-    #[test]
-    fn nanos_since_saturates() {
-        let a = SimTime(10);
-        let b = SimTime(13);
-        assert_eq!(b.nanos_since(a), 3_000_000_000);
-        assert_eq!(a.nanos_since(b), 0);
     }
 
     #[test]

@@ -194,11 +194,6 @@ impl VerdictSet {
         self.verdict_sym(detector) == Some(Verdict::Bot)
     }
 
-    /// Did any detector flag this request?
-    pub fn any_bot(&self) -> bool {
-        self.entries.iter().any(|(_, v)| v.is_bot())
-    }
-
     /// Number of recorded verdicts.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -271,7 +266,6 @@ mod tests {
             "absent detector is not a bot flag"
         );
         assert_eq!(set.verdict(provenance::FP_SPATIAL), None);
-        assert!(set.any_bot());
         assert_eq!(set.len(), 2);
     }
 

@@ -78,7 +78,7 @@ impl Fingerprint {
     /// A stable 64-bit digest of the whole fingerprint — the "FingerprintJS
     /// visitor id" equivalent used for unique-fingerprint counting.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv64::new();
+        let mut h = Fnv64::default();
         self.hash(&mut h);
         h.finish()
     }
@@ -102,12 +102,17 @@ impl fmt::Debug for Fingerprint {
     }
 }
 
-/// Deterministic FNV-1a hasher: `Fingerprint::digest` must be stable across
-/// runs and platforms, so it cannot rely on `DefaultHasher`'s random keys.
-struct Fnv64(u64);
+/// The hasher behind [`Fingerprint::digest`]: FNV-1a's offset basis and
+/// xor-then-multiply loop, but with the multiplier `0x1000_0000_01b3`
+/// where FNV-1a's 64-bit prime is `0x100_0000_01b3`. So it is not FNV-1a
+/// ([`crate::stablehash`] is). It is deterministic across runs and
+/// platforms, unlike `DefaultHasher`'s random keys; changing its
+/// multiplier would move every digest and the goldens built on them.
+#[derive(Clone, Debug)]
+pub struct Fnv64(u64);
 
-impl Fnv64 {
-    fn new() -> Self {
+impl Default for Fnv64 {
+    fn default() -> Self {
         Fnv64(0xcbf2_9ce4_8422_2325)
     }
 }

@@ -68,12 +68,6 @@ impl PrivacyTech {
             PrivacyTech::AdblockPlus => "AdBlock Plus",
         }
     }
-
-    /// Whether the tool alters fingerprint attributes (vs. only blocking
-    /// tracker requests). Only the altering ones can trigger rules.
-    pub fn alters_fingerprints(self) -> bool {
-        matches!(self, PrivacyTech::Brave | PrivacyTech::Tor)
-    }
 }
 
 /// Who actually generated a request — the honey site's ground truth.
@@ -251,15 +245,6 @@ mod tests {
             );
             assert_eq!(cohort.index(), i);
         }
-    }
-
-    #[test]
-    fn privacy_alteration_flags() {
-        assert!(PrivacyTech::Brave.alters_fingerprints());
-        assert!(PrivacyTech::Tor.alters_fingerprints());
-        assert!(!PrivacyTech::Safari.alters_fingerprints());
-        assert!(!PrivacyTech::UblockOrigin.alters_fingerprints());
-        assert!(!PrivacyTech::AdblockPlus.alters_fingerprints());
     }
 
     #[test]

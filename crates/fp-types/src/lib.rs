@@ -53,8 +53,11 @@
 //! * [`hotswap`] — [`HotSwap`]: barrier-free publication of immutable
 //!   artifacts; in-flight readers keep their `Arc` snapshot while new
 //!   admissions see the swapped-in replacement.
-//! * [`SimTime`] / [`SimClock`] — simulated time, counted from the start of
-//!   the paper's three-month study window (2023-09-01).
+//! * [`SimTime`] — simulated time, counted from the start of the paper's
+//!   three-month study window (2023-09-01).
+//! * [`par`] — [`par::map_indexed`], the one scoped worker pool: run an
+//!   indexed job on every core, the caller's thread among them, and get
+//!   the results back in index order.
 //! * [`mix`] — deterministic splittable hashing used wherever a generator or
 //!   detector needs per-request randomness that must be stable across runs.
 
@@ -73,6 +76,7 @@ pub mod interner;
 pub mod label;
 pub mod mitigation;
 pub mod mix;
+pub mod par;
 pub mod request;
 pub mod retention;
 pub mod runfp;
@@ -85,7 +89,7 @@ pub mod value;
 
 pub use attr::AttrId;
 pub use behavior::{BehaviorFacet, BehaviorThresholds};
-pub use clock::{SimClock, SimTime, STUDY_DAYS, STUDY_EPOCH_UNIX};
+pub use clock::{SimTime, STUDY_DAYS, STUDY_EPOCH_UNIX};
 pub use defense::{
     CaptchaEscalation, DecisionContext, DecisionPolicy, EscalatingTtl, Frozen, ResponsePolicy,
     RetrainSpend, RoundContext, StackMember, DEFAULT_BLOCK_TTL_SECS,

@@ -7,6 +7,9 @@
 //! uniform 64-bit draw. This is how e.g. the DataDome simulator decides the
 //! stochastic part of a verdict without any shared-RNG ordering hazards.
 
+use crate::fingerprint::Fnv64;
+use std::hash::Hasher;
+
 /// One round of SplitMix64 (public-domain constants from Steele et al.).
 #[inline]
 pub fn splitmix64(mut x: u64) -> u64 {
@@ -71,12 +74,9 @@ impl Splittable {
 
     /// Derive a child from a string label (e.g. `"geo"`, `"plugins"`).
     pub fn child_str(&self, label: &str) -> Splittable {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in label.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        self.child(h)
+        let mut h = Fnv64::default();
+        h.write(label.as_bytes());
+        self.child(h.finish())
     }
 
     /// Draw the next u64 (advances the stream).

@@ -137,15 +137,6 @@ impl RetentionPolicy {
         }
     }
 
-    /// The decay floor: the minimum records a decayed segment retains.
-    /// `None` for policies that never decay within a segment.
-    pub fn decay_floor(&self) -> Option<usize> {
-        match self {
-            RetentionPolicy::SampledDecay { floor, .. } => Some(*floor),
-            _ => None,
-        }
-    }
-
     /// The deterministic survival key of one record: records with smaller
     /// keys survive longer under [`RetentionPolicy::SampledDecay`]
     /// (a record survives age `a` iff its key is below
@@ -328,7 +319,6 @@ mod tests {
             assert!(!policy.evicts_segment(age));
             assert_eq!(policy.survival_rate(age), 1.0);
         }
-        assert_eq!(policy.decay_floor(), None);
     }
 
     #[test]
@@ -358,7 +348,6 @@ mod tests {
         assert_eq!(policy.survival_rate(0), 1.0);
         assert!((policy.survival_rate(1) - 0.5).abs() < 1e-12);
         assert!((policy.survival_rate(3) - 0.125).abs() < 1e-12);
-        assert_eq!(policy.decay_floor(), Some(10));
         // Survival keys are deterministic, unit-interval, and id-keyed.
         let k = RetentionPolicy::survival_key(7);
         assert_eq!(k, RetentionPolicy::survival_key(7));

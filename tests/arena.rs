@@ -27,7 +27,9 @@ use fp_arena::{
 };
 use fp_bench::{recorded_cohort_campaign, CAMPAIGN_SEED};
 use fp_types::detect::provenance;
-use fp_types::{CaptchaEscalation, Cohort, MitigationAction, RetentionPolicy, Scale};
+use fp_types::{
+    CaptchaEscalation, Cohort, MitigationAction, RetentionPolicy, Scale, TrafficSource,
+};
 
 fn block_config(scale: f64, seed: u64) -> ArenaConfig {
     ArenaConfig {
@@ -153,7 +155,10 @@ fn adapting_bots_erode_static_rule_recall() {
 fn laggard_tls_recall_decays_only_with_the_upgrade_cost() {
     // Fleet that pays: recall collapses as upgrades accumulate.
     let mut paying = Arena::new(block_config(0.01, 11));
-    paying.set_laggard_strategy(Box::new(TlsUpgrade::new(0.15, 0.6)));
+    paying.set_strategy(
+        TrafficSource::TlsLaggard,
+        Box::new(TlsUpgrade::new(0.15, 0.6)),
+    );
     paying.run(3);
     let decayed = paying
         .trajectory()
@@ -173,10 +178,13 @@ fn laggard_tls_recall_decays_only_with_the_upgrade_cost() {
 
     // Fleet that mutates everything *except* the stack: recall holds.
     let mut dodging = Arena::new(block_config(0.01, 11));
-    dodging.set_laggard_strategy(Box::new(Composite::new(vec![
-        Box::new(IpRotation::new(0.15, true)),
-        Box::new(FingerprintMutation::new(0.15, 1.0)),
-    ])));
+    dodging.set_strategy(
+        TrafficSource::TlsLaggard,
+        Box::new(Composite::new(vec![
+            Box::new(IpRotation::new(0.15, true)),
+            Box::new(FingerprintMutation::new(0.15, 1.0)),
+        ])),
+    );
     dodging.run(3);
     let held = dodging
         .trajectory()
