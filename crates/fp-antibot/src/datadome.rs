@@ -185,7 +185,7 @@ impl DataDome {
         // Behavioural evidence of a human: a pointer trajectory whose
         // statistics the behavioural model scores as natural, or touch
         // input on a touch-claiming device.
-        if crate::behavior::credible_pointer(behavior) {
+        if fp_types::behavior::credible_pointer(behavior) {
             return Verdict::Human;
         }
         if behavior.touch_events >= 1 && Self::claims_mobile(fp) {

@@ -21,7 +21,6 @@
 //! DataDome, per-IP history) — there is no hidden randomness to tune.
 
 pub mod api_access;
-pub mod behavior;
 pub mod botd;
 pub mod datadome;
 

@@ -398,7 +398,7 @@ impl Arena {
     /// timing instruments from every layer (site chain, blocklist, store,
     /// stack members). Per-round deltas of the same registry land on each
     /// round's [`RoundStats::obs`]. Render it with
-    /// [`fp_obs::expose::render_text`] or [`fp_obs::expose::ledger`].
+    /// [`fp_obs::expose::ledger`].
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.registry
     }
@@ -1064,6 +1064,13 @@ mod tests {
                 .count(),
             2,
             "cadence-1 re-mine timed every round"
+        );
+        assert!(
+            totals
+                .counter(fp_inconsistent_core::defense::REMINE_RECORDS_COUNTED)
+                .unwrap()
+                > 0,
+            "re-mines count the records they scan"
         );
 
         // Round deltas partition the totals.

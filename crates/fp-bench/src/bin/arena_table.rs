@@ -23,16 +23,14 @@
 //! default `keep`). The spend table prints the eviction ledger —
 //! records evicted and resident per round, plus the peak-residency
 //! high-water mark — so a bounding policy's cap is visible in output
-//! (and asserted, for sliding windows). `ARENA_OBS` (`0` | `1`, default
-//! `1`) gates the campaign-total `obs[...]` metrics ledger; the
-//! per-round duration/latency table always prints, and the binary
-//! asserts those timings stay out of the `behavior` fingerprint fold.
-//! `ARENA_BEHAVIOR` (`0` | `1`, default `1`) gates the behavioural
-//! arms-race ablation: a humanising AI-agent fleet vs the frozen
-//! session-cadence detector, then vs a cadence-1 re-fitting
-//! `BehaviorMember` — agent-cohort recall and half-life rows plus the
-//! re-fit scan-spend column, run on separate arenas so the golden
-//! fingerprint gate never sees them.
+//! (and asserted, for sliding windows). The per-round duration/latency
+//! table and the campaign-total `obs[...]` metrics ledger always print,
+//! and the binary asserts those timings stay out of the `behavior`
+//! fingerprint fold. The behavioural arms-race ablation always runs: a
+//! humanising AI-agent fleet vs the frozen session-cadence detector, then
+//! vs a cadence-1 re-fitting `BehaviorMember` — agent-cohort recall and
+//! half-life rows plus the re-fit scan-spend column, run on separate
+//! arenas so the golden fingerprint gate never sees them.
 
 use fp_arena::{Arena, ArenaConfig, ResponsePolicy, DEFAULT_BLOCK_TTL_SECS};
 use fp_bench::{env, header, pct, recorded_cohort_campaign, CAMPAIGN_SEED};
@@ -162,8 +160,8 @@ fn behaviour_ablation(base: ArenaConfig, rounds: u32) {
         ..base
     };
     println!(
-        "\nbehavioural arms race on the AI-agent cohort (ARENA_BEHAVIOR=0 to skip; \
-         humanise rate 0.6, re-fit cadence 1):"
+        "\nbehavioural arms race on the AI-agent cohort (humanise rate 0.6, \
+         re-fit cadence 1):"
     );
 
     let mut frozen = Arena::new(humanised);
@@ -306,11 +304,6 @@ fn behaviour_ablation(base: ArenaConfig, rounds: u32) {
 fn main() {
     let scale = arena_scale();
     let rounds = arena_rounds();
-    // Parsed up front (not at the print site) so a malformed ARENA_OBS
-    // or ARENA_BEHAVIOR exits with its grammar before the campaign burns
-    // any time.
-    let obs_ledger = env::obs_or(true);
-    let behaviour_section = env::behavior_or(true);
     assert!(
         rounds >= 2,
         "ARENA_ROUNDS must be at least 2: round 0 is the pre-adaptation \
@@ -499,13 +492,9 @@ fn main() {
 
     // Campaign-total metrics ledger: one greppable `obs[...]` line per
     // instrument (the `runfp[...]` discipline, applied to observability).
-    // On by default; ARENA_OBS=0 suppresses it. The full Prometheus-style
-    // exposition lives in the `obs_table` binary.
-    if obs_ledger {
-        println!("\nmetrics ledger (campaign totals; ARENA_OBS=0 to suppress):");
-        for line in fp_obs::expose::ledger(&arena.metrics().snapshot()) {
-            println!("{line}");
-        }
+    println!("\nmetrics ledger (campaign totals):");
+    for line in fp_obs::expose::ledger(&arena.metrics().snapshot()) {
+        println!("{line}");
     }
 
     // The frozen run's attestation: the same binary + env on any host
@@ -517,11 +506,7 @@ fn main() {
     // ── Defender ablation: the same campaign, re-mining enabled ─────────
     let Some(cadence) = remine_cadence() else {
         println!("\nARENA_REMINE=0: defender re-mining ablation skipped.");
-        if behaviour_section {
-            behaviour_ablation(config, rounds);
-        } else {
-            println!("\nARENA_BEHAVIOR=0: behavioural arms-race ablation skipped.");
-        }
+        behaviour_ablation(config, rounds);
         gate_golden(&frozen_components);
         return;
     };
@@ -743,11 +728,7 @@ fn main() {
     // The behavioural arms race, on its own arenas — printed before the
     // golden gate so the ablation's extra campaigns can never fold into
     // the attested fingerprint.
-    if behaviour_section {
-        behaviour_ablation(config, rounds);
-    } else {
-        println!("\nARENA_BEHAVIOR=0: behavioural arms-race ablation skipped.");
-    }
+    behaviour_ablation(config, rounds);
 
     // The re-mined run's attestation, and the audit the breakdown buys:
     // against the frozen run, exactly the re-mine cadence config and the

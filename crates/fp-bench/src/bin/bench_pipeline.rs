@@ -19,30 +19,24 @@
 //!
 //! Since the fp-obs layer, it also pins the always-on-metrics bill: the
 //! 4-shard streaming run bare vs with the full registry attached
-//! (latency histogram, per-detector timings, admission counters), plus
-//! the instrumented run's p50/p99/p999 admission-to-verdict latency.
+//! (latency histogram, per-detector timings, admission counters).
 //!
-//! Since the serving layer, it also drives [`HoneySite::serve`] two
-//! ways: steady load (the full stream through a roomy ring under Block
-//! overflow — nothing shed) and burst load (the same stream as one
-//! sustained flash crowd into a small intake ring under Shed — the
-//! over-capacity remainder turned away), recording per-request
-//! admission-to-verdict latency quantiles, the shed count and the
-//! depth high-water gauges under the `serve_*` keys.
-//! `BENCH_SECTION=serve` runs only those two drivers (one leg each,
-//! asserted, nothing recorded) — the CI smoke mode.
+//! Since the serving layer, it also drives [`HoneySite::serve`] under
+//! burst load: the stream as one sustained flash crowd into a small
+//! intake ring under Shed, the over-capacity remainder turned away. It
+//! records the per-request admission-to-verdict latency quantiles, the
+//! shed count and the depth high-water gauges under the `serve_burst_*`
+//! keys. `BENCH_SECTION=serve` runs only that driver (one leg, asserted,
+//! nothing recorded) — the CI smoke mode.
 //!
-//! Re-records are merge-preserving: keys in the existing
-//! `BENCH_pipeline.json` that this binary does not write survive the
-//! rewrite verbatim (see [`fp_bench::jsonmerge`]), and every record is
-//! stamped with `recorded_at_git` so a stale artifact is attributable.
+//! Each run writes `BENCH_pipeline.json` fresh, stamped with
+//! `recorded_at_git` so a stale artifact is attributable.
 //!
 //! Scale via `FP_SCALE` (default 0.05 here: this binary exists to track a
 //! trend, not to regenerate paper tables).
 
-use fp_antibot::{BotD, DataDome};
 use fp_bench::env::Section;
-use fp_bench::{campaign_stream, honey_site_for, jsonmerge, stream_report, CAMPAIGN_SEED};
+use fp_bench::{campaign_stream, honey_site_for, stream_report, CAMPAIGN_SEED};
 use fp_botnet::{Campaign, CampaignConfig};
 use fp_honeysite::serve::{
     SERVE_COLLECTOR_DEPTH_PEAK, SERVE_INGRESS_DEPTH_PEAK, SERVE_SHARD_DEPTH_PEAK,
@@ -50,14 +44,14 @@ use fp_honeysite::serve::{
 use fp_honeysite::HoneySite;
 use fp_inconsistent_core::{FpInconsistent, MineConfig};
 use fp_obs::MetricsRegistry;
-use fp_tls::TlsCrossLayer;
+use fp_types::detect::Detector;
 use fp_types::{OverflowPolicy, Scale, ServeConfig, ServiceId};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One serving-layer leg's yield: end-to-end throughput, the latency
-/// quantiles the always-on histogram recorded, and the backpressure
-/// evidence (shed count, ring and window high-water marks).
+/// One burst leg's yield: end-to-end throughput, the latency quantiles
+/// the always-on histogram recorded, and the backpressure evidence (shed
+/// count, ring and window high-water marks).
 struct ServeRun {
     rps: f64,
     p50: u64,
@@ -69,8 +63,19 @@ struct ServeRun {
     collector_peak: i64,
 }
 
+/// Render `entries` as one JSON object, one key per line, each value's
+/// text verbatim.
+fn render(entries: &[(&str, String)]) -> String {
+    let lines: Vec<String> = entries
+        .iter()
+        .map(|(key, value)| format!("  \"{key}\": {value}"))
+        .collect();
+    format!("{{\n{}\n}}\n", lines.join(",\n"))
+}
+
 fn main() {
     let scale = fp_bench::env::scale_or(Scale::ratio(0.05));
+    let section = fp_bench::env::section_or(Section::All);
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -96,20 +101,11 @@ fn main() {
     let store = site.into_store();
     let engine = FpInconsistent::mine(&store, &MineConfig::default());
 
-    // The two serving-layer postures. Steady: a ring roomy enough that
-    // Block backpressure never engages and the latency series prices the
-    // pipeline itself. Burst: the whole stream arrives as one sustained
-    // flash crowd (every submission back to back, far beyond 4× the
-    // ring capacity) into a small ring under Shed, so the intake gate
-    // actually turns traffic away and the survivors' latency prices the
-    // queueing delay a spike costs.
-    let steady_cfg = ServeConfig {
-        shards: 4,
-        ingress_capacity: 1024,
-        shard_capacity: 256,
-        overflow: OverflowPolicy::Block,
-        start_paused: false,
-    };
+    // The burst posture: the whole stream arrives as one sustained flash
+    // crowd (every submission back to back, far beyond 4× the ring
+    // capacity) into a small ring under Shed, so the intake gate actually
+    // turns traffic away and the survivors' latency prices the queueing
+    // delay a spike costs.
     let burst_cfg = ServeConfig {
         shards: 4,
         ingress_capacity: 256,
@@ -117,14 +113,14 @@ fn main() {
         overflow: OverflowPolicy::Shed,
         start_paused: false,
     };
-    let serve_leg = |config: ServeConfig| -> ServeRun {
+    let burst_leg = || -> ServeRun {
         let registry = Arc::new(MetricsRegistry::new());
         let mut site = honey_site_for(&campaign);
         for d in engine.detectors() {
             site.push_detector(d);
         }
         site.set_metrics(registry.clone());
-        let mut service = site.serve(config);
+        let mut service = site.serve(burst_cfg);
         let start = Instant::now();
         for request in stream.iter().cloned() {
             let _ = service.submit(request);
@@ -156,40 +152,33 @@ fn main() {
     };
     // Interpolated quantiles must stay distinguishable — the saturated
     // p50 == p99 == p999 readings the pre-interpolation histogram
-    // produced are exactly what this guards against.
-    let assert_serve = |label: &str, run: &ServeRun| {
+    // produced are exactly what this guards against — and the flash crowd
+    // must overflow the ring.
+    let assert_burst = |run: &ServeRun| {
         assert!(
             run.p50 < run.p99 && run.p99 < run.p999,
-            "{label} latency quantiles must be distinguishable: \
+            "burst latency quantiles must be distinguishable: \
              p50 {} / p99 {} / p999 {} ns",
             run.p50,
             run.p99,
             run.p999
         );
-    };
-
-    // The CI smoke mode: one leg per posture at whatever FP_SCALE says,
-    // asserted and printed, nothing recorded.
-    if fp_bench::env::section_or(Section::All) == Section::Serve {
-        let steady = serve_leg(steady_cfg);
-        assert_serve("steady", &steady);
-        assert_eq!(steady.shed, 0, "Block overflow must never shed");
-        let burst = serve_leg(burst_cfg);
-        assert_serve("burst", &burst);
         assert!(
-            burst.shed > 0,
+            run.shed > 0,
             "the flash crowd must overflow the small intake ring"
         );
+    };
+
+    // The CI smoke mode: one burst leg at whatever FP_SCALE says,
+    // asserted and printed, nothing recorded.
+    if section == Section::Serve {
+        let burst = burst_leg();
+        assert_burst(&burst);
         println!(
             "serve smoke (scale {}, {requests} requests):\n\
-             steady {:.0} req/s, p50/p99/p999 {} / {} / {} ns\n\
-             burst  {:.0} req/s, p50/p99/p999 {} / {} / {} ns, shed {}, \
+             burst {:.0} req/s, p50/p99/p999 {} / {} / {} ns, shed {}, \
              peaks ingress {} shard {} collector {}",
             scale.fraction(),
-            steady.rps,
-            steady.p50,
-            steady.p99,
-            steady.p999,
             burst.rps,
             burst.p50,
             burst.p99,
@@ -277,22 +266,40 @@ fn main() {
         (interp_best, pack_best, speedup, rules.len())
     };
 
-    let mut shard_rps = Vec::new();
-    for shards in [1usize, 4, 8] {
-        let mut best = 0.0f64;
-        for _ in 0..runs {
-            let mut site = honey_site_for(&campaign);
-            for d in engine.detectors() {
-                site.push_detector(d);
-            }
-            let requests_clone = stream.clone();
-            let start = Instant::now();
-            let admitted = site.ingest_stream(requests_clone, shards);
-            let elapsed = start.elapsed().as_secs_f64();
-            best = best.max(admitted as f64 / elapsed);
+    // One timed `ingest_stream` pass: a site running `chain` with the
+    // mined detectors appended, at `shards` shards, with a fresh metrics
+    // registry attached when `metrics` is set. Returns requests/sec.
+    let stream_leg = |chain: &[Box<dyn Detector>], shards: usize, metrics: bool| -> f64 {
+        let mut site = HoneySite::with_chain(chain.iter().map(|d| d.fork()).collect());
+        for id in ServiceId::all() {
+            site.register_token(campaign.token_of(id));
         }
-        shard_rps.push((shards, best));
-    }
+        site.register_token(campaign.real_user_token());
+        for d in engine.detectors() {
+            site.push_detector(d);
+        }
+        if metrics {
+            site.set_metrics(Arc::new(MetricsRegistry::new()));
+        }
+        let requests_clone = stream.clone();
+        let start = Instant::now();
+        let admitted = site.ingest_stream(requests_clone, shards);
+        admitted as f64 / start.elapsed().as_secs_f64()
+    };
+    let best_of = |chain: &[Box<dyn Detector>], shards: usize| {
+        (0..runs)
+            .map(|_| stream_leg(chain, shards, false))
+            .fold(0.0f64, f64::max)
+    };
+    // The site's own chain: DataDome, BotD, the TLS cross-layer and the
+    // session-behaviour detector, in that order.
+    let default_site = HoneySite::new();
+    let chain = default_site.chain();
+
+    let shard_rps: Vec<(usize, f64)> = [1usize, 4, 8]
+        .into_iter()
+        .map(|shards| (shards, best_of(chain, shards)))
+        .collect();
     let speedup_8 = shard_rps
         .last()
         .map(|(_, rps)| rps / batch_rps)
@@ -319,26 +326,7 @@ fn main() {
     // The TLS-facet overhead probe: the same 4-shard streaming run with the
     // cross-layer detector stripped from the chain (the PR-1 five-detector
     // pipeline). The added facet must stay within noise of this baseline.
-    let no_tls_rps = {
-        let mut best = 0.0f64;
-        for _ in 0..runs {
-            let mut site =
-                HoneySite::with_chain(vec![Box::new(DataDome::new()), Box::new(BotD::new())]);
-            for id in ServiceId::all() {
-                site.register_token(campaign.token_of(id));
-            }
-            site.register_token(campaign.real_user_token());
-            for d in engine.detectors() {
-                site.push_detector(d);
-            }
-            let requests_clone = stream.clone();
-            let start = Instant::now();
-            let admitted = site.ingest_stream(requests_clone, 4);
-            let elapsed = start.elapsed().as_secs_f64();
-            best = best.max(admitted as f64 / elapsed);
-        }
-        best
-    };
+    let no_tls_rps = best_of(&chain[..2], 4);
     let with_tls_4 = shard_rps
         .iter()
         .find(|(s, _)| *s == 4)
@@ -350,29 +338,7 @@ fn main() {
     // six-detector chain the repo shipped before fp-behavior). The
     // seventh detector's per-request work is a threshold compare plus a
     // per-cookie counter bump, so its cost must also stay within noise.
-    let no_behavior_rps = {
-        let mut best = 0.0f64;
-        for _ in 0..runs {
-            let mut site = HoneySite::with_chain(vec![
-                Box::new(DataDome::new()),
-                Box::new(BotD::new()),
-                Box::new(TlsCrossLayer::new()),
-            ]);
-            for id in ServiceId::all() {
-                site.register_token(campaign.token_of(id));
-            }
-            site.register_token(campaign.real_user_token());
-            for d in engine.detectors() {
-                site.push_detector(d);
-            }
-            let requests_clone = stream.clone();
-            let start = Instant::now();
-            let admitted = site.ingest_stream(requests_clone, 4);
-            let elapsed = start.elapsed().as_secs_f64();
-            best = best.max(admitted as f64 / elapsed);
-        }
-        best
-    };
+    let no_behavior_rps = best_of(&chain[..3], 4);
 
     // The always-on-metrics probe: the same 4-shard streaming run, bare
     // vs with the fp-obs registry attached (admission-to-verdict latency,
@@ -384,69 +350,27 @@ fn main() {
     // the median — rather than a ratio of two best-of numbers, which at
     // this noise floor is a coin flip. Pair order alternates so linear
     // drift cancels across pairs too.
-    let (obs_bare_rps, obs_instr_rps, obs_overhead, obs_p50, obs_p99, obs_p999) = {
-        let run_leg = |metrics: bool| -> (f64, Option<(u64, u64, u64)>) {
-            let mut site = honey_site_for(&campaign);
-            for d in engine.detectors() {
-                site.push_detector(d);
-            }
-            let registry = Arc::new(MetricsRegistry::new());
-            if metrics {
-                site.set_metrics(registry.clone());
-            }
-            let requests_clone = stream.clone();
-            let start = Instant::now();
-            let admitted = site.ingest_stream(requests_clone, 4);
-            let elapsed = start.elapsed().as_secs_f64();
-            let quantiles = metrics.then(|| {
-                let snap = registry.snapshot();
-                let latency = snap
-                    .histogram(fp_honeysite::site::ADMISSION_TO_VERDICT_NS)
-                    .expect("instrumented ingest registers the latency histogram");
-                assert_eq!(
-                    latency.count(),
-                    admitted as u64,
-                    "exactly one latency sample per admitted request"
-                );
-                (
-                    latency.quantile(0.50),
-                    latency.quantile(0.99),
-                    latency.quantile(0.999),
-                )
-            });
-            (admitted as f64 / elapsed, quantiles)
-        };
+    let (obs_bare_rps, obs_instr_rps, obs_overhead) = {
         let pairs = 9;
         let mut bare_best = 0.0f64;
         let mut instr_best = 0.0f64;
-        let mut quantiles = (0u64, 0u64, 0u64);
         let mut overheads = Vec::with_capacity(pairs);
         for k in 0..pairs {
-            let ((bare, _), (instr, q)) = if k % 2 == 0 {
-                let b = run_leg(false);
-                let i = run_leg(true);
+            let (bare, instr) = if k % 2 == 0 {
+                let b = stream_leg(chain, 4, false);
+                let i = stream_leg(chain, 4, true);
                 (b, i)
             } else {
-                let i = run_leg(true);
-                let b = run_leg(false);
+                let i = stream_leg(chain, 4, true);
+                let b = stream_leg(chain, 4, false);
                 (b, i)
             };
             bare_best = bare_best.max(bare);
-            if instr > instr_best {
-                instr_best = instr;
-                quantiles = q.expect("instrumented leg returns quantiles");
-            }
+            instr_best = instr_best.max(instr);
             overheads.push(1.0 - instr / bare);
         }
         overheads.sort_by(|a, b| a.partial_cmp(b).expect("ratios are finite"));
-        (
-            bare_best,
-            instr_best,
-            overheads[pairs / 2],
-            quantiles.0,
-            quantiles.1,
-            quantiles.2,
-        )
+        (bare_best, instr_best, overheads[pairs / 2])
     };
     eprintln!("always-on metrics overhead (paired median): {obs_overhead:.3}");
     assert!(
@@ -456,33 +380,13 @@ fn main() {
          {obs_instr_rps:.0} instrumented best req/s)"
     );
 
-    // The serving-layer series proper: best-of-N legs per posture (the
-    // quantiles and backpressure evidence come from the best-throughput
-    // leg, like the obs series). Steady must shed nothing; the burst
-    // must actually overflow; both latency series must stay
-    // distinguishable at p50/p99/p999.
-    let (serve_steady, serve_burst) = {
-        let best_of = |config: ServeConfig| {
-            let mut best: Option<ServeRun> = None;
-            for _ in 0..runs {
-                let run = serve_leg(config);
-                if best.as_ref().is_none_or(|b| run.rps > b.rps) {
-                    best = Some(run);
-                }
-            }
-            best.expect("runs >= 1")
-        };
-        let steady = best_of(steady_cfg);
-        assert_serve("steady", &steady);
-        assert_eq!(steady.shed, 0, "Block overflow must never shed");
-        let burst = best_of(burst_cfg);
-        assert_serve("burst", &burst);
-        assert!(
-            burst.shed > 0,
-            "the flash crowd must overflow the small intake ring"
-        );
-        (steady, burst)
-    };
+    // The serving-layer series proper: the best-throughput of N burst
+    // legs, whose quantiles and backpressure evidence are recorded.
+    let serve_burst = (0..runs)
+        .map(|_| burst_leg())
+        .max_by(|a, b| a.rps.total_cmp(&b.rps))
+        .expect("runs >= 1");
+    assert_burst(&serve_burst);
 
     // The retention series: sequential ingest with epoch sealing every
     // ~1/8th of the stream, under KeepAll vs a 2-epoch sliding window —
@@ -571,27 +475,26 @@ fn main() {
         None => "unknown".to_string(),
     };
 
-    let entry = |k: &str, v: String| (k.to_string(), v);
     let entries = vec![
-        entry("scale", format!("{}", scale.fraction())),
-        entry("requests", format!("{requests}")),
-        entry("host_cores", format!("{host_cores}")),
-        entry("available_parallelism", format!("{threads}")),
-        entry("batch_requests_per_sec", format!("{batch_rps:.0}")),
-        entry("rule_match_rules", format!("{rule_match_rules}")),
-        entry(
+        ("scale", format!("{}", scale.fraction())),
+        ("requests", format!("{requests}")),
+        ("host_cores", format!("{host_cores}")),
+        ("available_parallelism", format!("{threads}")),
+        ("batch_requests_per_sec", format!("{batch_rps:.0}")),
+        ("rule_match_rules", format!("{rule_match_rules}")),
+        (
             "rule_match_interpreted_requests_per_sec",
             format!("{rule_match_interp_rps:.0}"),
         ),
-        entry(
+        (
             "rule_match_compiled_requests_per_sec",
             format!("{rule_match_pack_rps:.0}"),
         ),
-        entry(
+        (
             "rule_match_compiled_speedup",
             format!("{rule_match_speedup:.3}"),
         ),
-        entry(
+        (
             "stream_requests_per_sec",
             format!(
                 "{{\n{}\n  }}",
@@ -602,11 +505,11 @@ fn main() {
                     .join(",\n")
             ),
         ),
-        entry(
+        (
             "stream_requests_per_sec_no_tls_facet",
             format!("{no_tls_rps:.0}"),
         ),
-        entry(
+        (
             "tls_facet_cost_4_shards",
             format!(
                 "{:.3}",
@@ -617,11 +520,11 @@ fn main() {
                 }
             ),
         ),
-        entry(
+        (
             "stream_requests_per_sec_no_behavior_facet",
             format!("{no_behavior_rps:.0}"),
         ),
-        entry(
+        (
             "behavior_facet_cost_4_shards",
             format!(
                 "{:.3}",
@@ -632,86 +535,59 @@ fn main() {
                 }
             ),
         ),
-        entry("speedup_8_shards_vs_batch", format!("{speedup_8:.3}")),
-        entry(
+        ("speedup_8_shards_vs_batch", format!("{speedup_8:.3}")),
+        (
             "ingest_epoch8_keepall_requests_per_sec",
             format!("{retain_keepall_rps:.0}"),
         ),
-        entry(
+        (
             "ingest_epoch8_sliding2_requests_per_sec",
             format!("{retain_sliding_rps:.0}"),
         ),
-        entry(
+        (
             "ingest_epoch8_sliding2_resident_records",
             format!("{sliding_resident}"),
         ),
-        entry("arena_2_rounds_requests", format!("{arena_requests}")),
-        entry("arena_2_rounds_requests_per_sec", format!("{arena_rps:.0}")),
-        entry(
+        ("arena_2_rounds_requests", format!("{arena_requests}")),
+        ("arena_2_rounds_requests_per_sec", format!("{arena_rps:.0}")),
+        (
             "obs_bare_stream_requests_per_sec",
             format!("{obs_bare_rps:.0}"),
         ),
-        entry(
+        (
             "obs_instrumented_stream_requests_per_sec",
             format!("{obs_instr_rps:.0}"),
         ),
-        entry(
+        (
             "obs_overhead_fraction_4_shards",
             format!("{obs_overhead:.3}"),
         ),
-        entry("obs_latency_p50_ns", format!("{obs_p50}")),
-        entry("obs_latency_p99_ns", format!("{obs_p99}")),
-        entry("obs_latency_p999_ns", format!("{obs_p999}")),
-        entry(
-            "serve_steady_requests_per_sec",
-            format!("{:.0}", serve_steady.rps),
-        ),
-        entry("serve_steady_p50_ns", format!("{}", serve_steady.p50)),
-        entry("serve_steady_p99_ns", format!("{}", serve_steady.p99)),
-        entry("serve_steady_p999_ns", format!("{}", serve_steady.p999)),
-        entry(
-            "serve_steady_ingress_depth_peak",
-            format!("{}", serve_steady.ingress_peak),
-        ),
-        entry(
-            "serve_steady_shard_depth_peak",
-            format!("{}", serve_steady.shard_peak),
-        ),
-        entry(
+        (
             "serve_burst_requests_per_sec",
             format!("{:.0}", serve_burst.rps),
         ),
-        entry("serve_burst_p50_ns", format!("{}", serve_burst.p50)),
-        entry("serve_burst_p99_ns", format!("{}", serve_burst.p99)),
-        entry("serve_burst_p999_ns", format!("{}", serve_burst.p999)),
-        entry("serve_burst_shed", format!("{}", serve_burst.shed)),
-        entry(
+        ("serve_burst_p50_ns", format!("{}", serve_burst.p50)),
+        ("serve_burst_p99_ns", format!("{}", serve_burst.p99)),
+        ("serve_burst_p999_ns", format!("{}", serve_burst.p999)),
+        ("serve_burst_shed", format!("{}", serve_burst.shed)),
+        (
             "serve_burst_ingress_depth_peak",
             format!("{}", serve_burst.ingress_peak),
         ),
-        entry(
+        (
             "serve_burst_shard_depth_peak",
             format!("{}", serve_burst.shard_peak),
         ),
-        entry(
+        (
             "serve_burst_collector_depth_peak",
             format!("{}", serve_burst.collector_peak),
         ),
-        entry("stream_equals_batch", format!("{}", report.identical())),
-        entry("recorded_at_git", format!("\"{recorded_at_git}\"")),
-        entry("note", format!("\"{note}\"")),
+        ("stream_equals_batch", format!("{}", report.identical())),
+        ("recorded_at_git", format!("\"{recorded_at_git}\"")),
+        ("note", format!("\"{note}\"")),
     ];
 
-    // Merge-preserving re-record: keys an older or newer binary wrote
-    // that this one doesn't are carried over verbatim rather than
-    // silently dropped. An existing artifact that fails the scan is a
-    // hard error — the recorder never "repairs" what it cannot read.
-    let fresh = jsonmerge::render(&entries);
-    let json = match std::fs::read_to_string("BENCH_pipeline.json") {
-        Ok(previous) => jsonmerge::merge_preserving(&fresh, &previous)
-            .unwrap_or_else(|e| panic!("existing BENCH_pipeline.json failed the scan: {e}")),
-        Err(_) => fresh,
-    };
+    let json = render(&entries);
     print!("{json}");
     std::fs::write("BENCH_pipeline.json", &json).expect("write BENCH_pipeline.json");
     eprintln!("wrote BENCH_pipeline.json");

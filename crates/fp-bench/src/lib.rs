@@ -8,8 +8,6 @@ use fp_botnet::{Campaign, CampaignConfig};
 use fp_honeysite::{HoneySite, RequestStore};
 use fp_types::{Scale, ServiceId};
 
-pub mod jsonmerge;
-
 /// Scale used by the regeneration binaries. Full scale reproduces the
 /// paper's 507,080 requests; override with `FP_SCALE` (e.g. `FP_SCALE=0.1`)
 /// for quicker runs.
@@ -31,10 +29,10 @@ pub mod env {
     /// Which series `bench_pipeline` runs (the `BENCH_SECTION` knob).
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub enum Section {
-        /// Every series plus the merge-preserving re-record (the default).
+        /// Every series plus the record (the default).
         All,
-        /// The serving-layer drivers only: one steady and one burst leg,
-        /// printed and asserted but never recorded — the CI smoke mode.
+        /// The serving-layer burst leg only, printed and asserted but
+        /// never recorded — the CI smoke mode.
         Serve,
     }
 
@@ -100,25 +98,6 @@ pub mod env {
         }
     }
 
-    /// Parse an `ARENA_OBS` value: `0` (metrics output off) or `1` (on).
-    pub fn parse_obs(v: &str) -> Result<bool, String> {
-        match v {
-            "0" => Ok(false),
-            "1" => Ok(true),
-            _ => Err(format!("`{v}` is neither 0 nor 1")),
-        }
-    }
-
-    /// Parse an `ARENA_BEHAVIOR` value: `0` (behavioural arms-race section
-    /// off) or `1` (on).
-    pub fn parse_behavior(v: &str) -> Result<bool, String> {
-        match v {
-            "0" => Ok(false),
-            "1" => Ok(true),
-            _ => Err(format!("`{v}` is neither 0 nor 1")),
-        }
-    }
-
     /// `FP_SCALE`, or `default` when unset.
     pub fn scale_or(default: Scale) -> Scale {
         knob("FP_SCALE", "a fraction in (0, 1]", default, parse_scale)
@@ -157,16 +136,6 @@ pub mod env {
             default,
             parse_retention,
         )
-    }
-
-    /// `ARENA_OBS`, or `default` when unset.
-    pub fn obs_or(default: bool) -> bool {
-        knob("ARENA_OBS", "0 | 1", default, parse_obs)
-    }
-
-    /// `ARENA_BEHAVIOR`, or `default` when unset.
-    pub fn behavior_or(default: bool) -> bool {
-        knob("ARENA_BEHAVIOR", "0 | 1", default, parse_behavior)
     }
 
     /// Read one env knob: absent → `default`; present (even as non-unicode
@@ -223,24 +192,6 @@ pub mod env {
             assert_eq!(parse_remine("2"), Ok(Some(2)));
             assert!(parse_remine("every-round").is_err());
             assert!(parse_remine("-1").is_err());
-        }
-
-        #[test]
-        fn obs_grammar() {
-            assert_eq!(parse_obs("0"), Ok(false));
-            assert_eq!(parse_obs("1"), Ok(true));
-            assert!(parse_obs("true").is_err());
-            assert!(parse_obs("yes").is_err());
-            assert!(parse_obs("").is_err());
-        }
-
-        #[test]
-        fn behavior_grammar() {
-            assert_eq!(parse_behavior("0"), Ok(false));
-            assert_eq!(parse_behavior("1"), Ok(true));
-            assert!(parse_behavior("on").is_err());
-            assert!(parse_behavior("2").is_err());
-            assert!(parse_behavior("").is_err());
         }
 
         #[test]

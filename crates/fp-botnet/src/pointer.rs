@@ -14,7 +14,8 @@
 //!   velocity, fixed time step. Trivially separable.
 //!
 //! The statistics are honest reductions of the sequences; nothing here
-//! writes a "naturalness" value — `fp-antibot::behavior` has to earn it.
+//! writes a "naturalness" value — `fp_types::behavior`'s scoring, which
+//! DataDome reads, has to earn it.
 
 use fp_types::{PointerStats, Splittable};
 
@@ -200,7 +201,7 @@ pub fn touch_trace(taps: u16, rng: &mut Splittable) -> fp_types::BehaviorTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fp_antibot::behavior::naturalness;
+    use fp_types::behavior::naturalness;
 
     #[test]
     fn human_paths_always_score_natural() {

@@ -1,9 +1,6 @@
-//! Text exposition: Prometheus-style rendering, the greppable `obs[...]`
-//! ledger, and a parser for self-checks.
+//! Text exposition: the greppable `obs[...]` ledger.
 
-use crate::instrument::{bucket_upper_bound, HistogramSnapshot, HISTOGRAM_BUCKETS};
 use crate::registry::{ObsSnapshot, Value};
-use std::fmt::Write as _;
 
 /// Map a metric name into the Prometheus name charset
 /// (`[a-zA-Z0-9_:]`); anything else becomes `_`.
@@ -17,42 +14,6 @@ pub fn sanitize(name: &str) -> String {
             }
         })
         .collect()
-}
-
-/// Render a snapshot in the Prometheus text exposition format: a `# TYPE`
-/// line per metric, cumulative `le` buckets plus `+Inf`, `_sum` and
-/// `_count` for histograms. Empty histogram buckets are elided (the
-/// cumulative series stays well-formed); the `+Inf` bucket always prints.
-pub fn render_text(snap: &ObsSnapshot) -> String {
-    let mut out = String::new();
-    for m in &snap.metrics {
-        let name = sanitize(&m.name);
-        match &m.value {
-            Value::Counter(v) => {
-                let _ = writeln!(out, "# TYPE {name} counter");
-                let _ = writeln!(out, "{name} {v}");
-            }
-            Value::Gauge(v) => {
-                let _ = writeln!(out, "# TYPE {name} gauge");
-                let _ = writeln!(out, "{name} {v}");
-            }
-            Value::Histogram(h) => {
-                let _ = writeln!(out, "# TYPE {name} histogram");
-                let mut cumulative = 0u64;
-                for (i, &n) in h.buckets.iter().enumerate() {
-                    cumulative += n;
-                    if n != 0 && i < HISTOGRAM_BUCKETS - 1 {
-                        let le = bucket_upper_bound(i);
-                        let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
-                    }
-                }
-                let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
-                let _ = writeln!(out, "{name}_sum {}", h.sum);
-                let _ = writeln!(out, "{name}_count {cumulative}");
-            }
-        }
-    }
-    out
 }
 
 /// One greppable ledger line per metric, same discipline as the
@@ -85,144 +46,6 @@ pub fn ledger(snap: &ObsSnapshot) -> Vec<String> {
         .collect()
 }
 
-/// A metric read back from the text exposition.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ParsedMetric {
-    /// The (sanitized) metric name.
-    pub name: String,
-    /// The parsed value.
-    pub value: ParsedValue,
-}
-
-/// The value forms [`parse_text`] reconstructs.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ParsedValue {
-    /// A counter total.
-    Counter(u64),
-    /// A gauge level.
-    Gauge(i64),
-    /// A histogram's aggregate view (buckets are validated, not kept).
-    Histogram {
-        /// Total observations (`_count`, equal to the `+Inf` bucket).
-        count: u64,
-        /// Sum of observations (`_sum`).
-        sum: u64,
-    },
-}
-
-/// Parse text rendered by [`render_text`] back into metrics, validating
-/// the histogram invariants on the way: cumulative buckets must be
-/// monotone non-decreasing, the `+Inf` bucket must be present, and
-/// `_count` must equal it. Used by the bench binaries and CI as a
-/// round-trip self-check on the exposition.
-pub fn parse_text(text: &str) -> Result<Vec<ParsedMetric>, String> {
-    let mut out = Vec::new();
-    let mut lines = text.lines().peekable();
-    while let Some(line) = lines.next() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let rest = line
-            .strip_prefix("# TYPE ")
-            .ok_or_else(|| format!("expected `# TYPE`, got `{line}`"))?;
-        let (name, kind) = rest
-            .split_once(' ')
-            .ok_or_else(|| format!("malformed TYPE line `{line}`"))?;
-        match kind {
-            "counter" | "gauge" => {
-                let sample = lines
-                    .next()
-                    .ok_or_else(|| format!("`{name}`: missing sample line"))?;
-                let (sample_name, v) = sample
-                    .split_once(' ')
-                    .ok_or_else(|| format!("`{name}`: malformed sample `{sample}`"))?;
-                if sample_name != name {
-                    return Err(format!("`{name}`: sample names `{sample_name}`"));
-                }
-                let value = if kind == "counter" {
-                    ParsedValue::Counter(
-                        v.parse()
-                            .map_err(|_| format!("`{name}`: `{v}` is not a counter value"))?,
-                    )
-                } else {
-                    ParsedValue::Gauge(
-                        v.parse()
-                            .map_err(|_| format!("`{name}`: `{v}` is not a gauge value"))?,
-                    )
-                };
-                out.push(ParsedMetric {
-                    name: name.to_string(),
-                    value,
-                });
-            }
-            "histogram" => {
-                let bucket_prefix = format!("{name}_bucket{{le=\"");
-                let mut last_cumulative = 0u64;
-                let mut inf_bucket: Option<u64> = None;
-                while let Some(&next) = lines.peek() {
-                    let Some(rest) = next.strip_prefix(&bucket_prefix) else {
-                        break;
-                    };
-                    lines.next();
-                    let (le, count) = rest
-                        .split_once("\"} ")
-                        .ok_or_else(|| format!("`{name}`: malformed bucket `{next}`"))?;
-                    let cumulative: u64 = count
-                        .parse()
-                        .map_err(|_| format!("`{name}`: `{count}` is not a bucket count"))?;
-                    if cumulative < last_cumulative {
-                        return Err(format!(
-                            "`{name}`: bucket le=\"{le}\" not cumulative ({cumulative} < {last_cumulative})"
-                        ));
-                    }
-                    last_cumulative = cumulative;
-                    if le == "+Inf" {
-                        inf_bucket = Some(cumulative);
-                        break;
-                    }
-                }
-                let inf = inf_bucket.ok_or_else(|| format!("`{name}`: missing +Inf bucket"))?;
-                let sum_line = lines
-                    .next()
-                    .ok_or_else(|| format!("`{name}`: missing _sum"))?;
-                let sum: u64 = sum_line
-                    .strip_prefix(&format!("{name}_sum "))
-                    .ok_or_else(|| format!("`{name}`: expected _sum, got `{sum_line}`"))?
-                    .parse()
-                    .map_err(|_| format!("`{name}`: malformed _sum `{sum_line}`"))?;
-                let count_line = lines
-                    .next()
-                    .ok_or_else(|| format!("`{name}`: missing _count"))?;
-                let count: u64 = count_line
-                    .strip_prefix(&format!("{name}_count "))
-                    .ok_or_else(|| format!("`{name}`: expected _count, got `{count_line}`"))?
-                    .parse()
-                    .map_err(|_| format!("`{name}`: malformed _count `{count_line}`"))?;
-                if count != inf {
-                    return Err(format!("`{name}`: _count {count} != +Inf bucket {inf}"));
-                }
-                out.push(ParsedMetric {
-                    name: name.to_string(),
-                    value: ParsedValue::Histogram { count, sum },
-                });
-            }
-            other => return Err(format!("`{name}`: unknown metric kind `{other}`")),
-        }
-    }
-    Ok(out)
-}
-
-/// Render a histogram's quantile summary as the bench tables print it.
-pub fn quantile_cells(h: &HistogramSnapshot) -> String {
-    format!(
-        "p50={} p90={} p99={} p999={}",
-        h.quantile(0.50),
-        h.quantile(0.90),
-        h.quantile(0.99),
-        h.quantile(0.999)
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,43 +63,6 @@ mod tests {
     }
 
     #[test]
-    fn render_parse_round_trip() {
-        let snap = sample_registry().snapshot();
-        let text = render_text(&snap);
-        let parsed = parse_text(&text).expect("exposition must parse");
-        assert_eq!(parsed.len(), snap.metrics.len());
-        assert!(parsed.contains(&ParsedMetric {
-            name: "obs_test_expose_events".into(),
-            value: ParsedValue::Counter(12),
-        }));
-        assert!(parsed.contains(&ParsedMetric {
-            name: "obs_test_expose_level".into(),
-            value: ParsedValue::Gauge(-3),
-        }));
-        assert!(parsed.contains(&ParsedMetric {
-            name: "obs_test_expose_lat_ns".into(),
-            value: ParsedValue::Histogram {
-                count: 6,
-                sum: 5900,
-            },
-        }));
-    }
-
-    #[test]
-    fn rendered_buckets_are_cumulative() {
-        let snap = sample_registry().snapshot();
-        let text = render_text(&snap);
-        // The value 900 was recorded twice → bucket le="1023" holds 5
-        // cumulative (0, 1, 3, 900, 900).
-        assert!(
-            text.contains("obs_test_expose_lat_ns_bucket{le=\"1023\"} 5"),
-            "missing cumulative bucket in:\n{text}"
-        );
-        assert!(text.contains("obs_test_expose_lat_ns_bucket{le=\"+Inf\"} 6"));
-        assert!(text.contains("obs_test_expose_lat_ns_count 6"));
-    }
-
-    #[test]
     fn ledger_lines_are_greppable() {
         let snap = sample_registry().snapshot();
         let lines = ledger(&snap);
@@ -290,18 +76,6 @@ mod tests {
         assert!(hist.contains("count=6"), "{hist}");
         assert!(hist.contains("p50="), "{hist}");
         assert!(hist.contains("p999="), "{hist}");
-    }
-
-    #[test]
-    fn parse_rejects_non_cumulative_buckets() {
-        let bad = "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"3\"} 2\nh_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 5\n";
-        assert!(parse_text(bad).unwrap_err().contains("not cumulative"));
-    }
-
-    #[test]
-    fn parse_rejects_count_mismatch() {
-        let bad = "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 4\n";
-        assert!(parse_text(bad).unwrap_err().contains("_count"));
     }
 
     #[test]

@@ -21,18 +21,15 @@
 //! [`ObsSnapshot`] is a plain, name-sorted value — subtract two with
 //! [`ObsSnapshot::delta`] to get a per-round view ([`RoundObs`]).
 //!
-//! Exposition is deliberately boring: [`expose::render_text`] prints the
-//! Prometheus text format, [`expose::ledger`] prints one greppable
-//! `obs[name] ...` line per metric (the same ledger discipline as the
-//! `runfp[...]` fingerprint lines), and [`expose::parse_text`] reads the
-//! text format back for self-checks and CI assertions.
+//! Exposition is deliberately boring: [`expose::ledger`] prints one
+//! greppable `obs[name] ...` line per metric (the same ledger discipline
+//! as the `runfp[...]` fingerprint lines).
 //!
 //! Determinism contract: instruments hold no clock. Feed them wall-clock
 //! durations and snapshots vary run to run; feed them simulated-time
-//! ticks and every snapshot, ledger line and rendered exposition is
-//! byte-stable. That is why execution-time metrics stay **out** of the
-//! `RUNFP_V1` `behavior` fold — they are an execution parameter, like the
-//! shard count.
+//! ticks and every snapshot and ledger line is byte-stable. That is why
+//! execution-time metrics stay **out** of the `RUNFP_V1` `behavior` fold —
+//! they are an execution parameter, like the shard count.
 
 #![deny(missing_docs)]
 
