@@ -565,29 +565,6 @@ impl TrajectoryReport {
         self.rounds.iter().map(|r| r.obs.wall_ns).collect()
     }
 
-    /// Per round: quantile `q` of a named timing histogram out of the
-    /// round's metrics delta (`None` where the metric was absent or
-    /// empty that round). The generic accessor behind the latency and
-    /// per-detector timing trajectories the arena table prints.
-    pub fn timing_quantile_trajectory(&self, metric: &str, q: f64) -> Vec<Option<u64>> {
-        self.rounds
-            .iter()
-            .map(|r| {
-                r.obs
-                    .snapshot
-                    .histogram(metric)
-                    .filter(|h| h.count() > 0)
-                    .map(|h| h.quantile(q))
-            })
-            .collect()
-    }
-
-    /// Per round: quantile `q` of the admission-to-verdict latency
-    /// histogram ([`fp_honeysite::site::ADMISSION_TO_VERDICT_NS`]).
-    pub fn latency_quantile_trajectory(&self, q: f64) -> Vec<Option<u64>> {
-        self.timing_quantile_trajectory(fp_honeysite::site::ADMISSION_TO_VERDICT_NS, q)
-    }
-
     /// The whole trajectory's canonical JSON encoding: the version tag
     /// plus every round's [`RoundStats::to_json`] line in round order.
     /// This is the serialization the golden-snapshot regression test pins
@@ -921,17 +898,10 @@ mod tests {
         b.push(timed);
         assert_eq!(a.behavior_component(), b.behavior_component());
 
-        // The trajectories read the snapshots the fingerprint ignores.
+        // The wall-time trajectory reads the snapshots the fingerprint
+        // ignores.
         assert_eq!(a.round_wall_ns(), vec![0]);
         assert_eq!(b.round_wall_ns(), vec![987_654_321]);
-        assert_eq!(a.latency_quantile_trajectory(0.5), vec![None]);
-        let p50 = b.latency_quantile_trajectory(0.5);
-        assert_eq!(p50.len(), 1);
-        assert!(p50[0].unwrap() >= 1_234, "log2 upper bound brackets 1234");
-        assert_eq!(
-            b.timing_quantile_trajectory("no_such_metric", 0.5),
-            vec![None]
-        );
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! weakness (the whole point of §5.3.1/§5.3.3) is that the *presence* of
 //! plugins or touch support defeats its headless-Chromium signature.
 
-use crate::{Detector, StateScope, Verdict};
-use fp_types::{AttrId, Fingerprint, Request, StoredRequest};
+use fp_types::detect::{Detector, StateScope, Verdict};
+use fp_types::{AttrId, Fingerprint, StoredRequest};
 
 /// BotD simulator. Stateless: the script has no cross-request memory.
 #[derive(Default)]
@@ -17,12 +17,6 @@ impl BotD {
     /// Fresh instance.
     pub fn new() -> BotD {
         BotD
-    }
-
-    /// Decide a live request (legacy entry point; same classifier as the
-    /// [`Detector`] impl — BotD only ever reads the fingerprint).
-    pub fn decide(&mut self, request: &Request) -> Verdict {
-        Self::classify(&request.fingerprint)
     }
 
     fn classify(fp: &Fingerprint) -> Verdict {
@@ -113,21 +107,38 @@ mod tests {
     use fp_fingerprint::{
         BrowserFamily, BrowserProfile, Collector, DeviceKind, DeviceProfile, LocaleSpec,
     };
-    use fp_types::{sym, BehaviorTrace, Fingerprint, SimTime, Splittable, TrafficSource};
+    use fp_netsim::blocklist::is_tor_exit;
+    use fp_netsim::NetDb;
+    use fp_types::{
+        sym, BehaviorTrace, Fingerprint, SimTime, Splittable, TrafficSource, VerdictSet,
+    };
     use std::net::Ipv4Addr;
 
-    fn request_with(fp: Fingerprint) -> Request {
-        Request {
+    /// The record the honey site stores for `fp` from a residential
+    /// address: the address survives only as its salted hash and its
+    /// Tor-exit flag.
+    fn request_with(fp: Fingerprint) -> StoredRequest {
+        let ip = Ipv4Addr::new(73, 1, 2, 3);
+        StoredRequest {
             id: 0,
             time: SimTime::EPOCH,
             site_token: sym("t"),
-            ip: Ipv4Addr::new(73, 1, 2, 3),
-            cookie: None,
+            ip_hash: NetDb::hash_ip(ip),
+            ip_offset_minutes: 0,
+            ip_region: sym("X/Y"),
+            ip_lat: 0.0,
+            ip_lon: 0.0,
+            asn: 1,
+            asn_flagged: false,
+            ip_blocklisted: false,
+            tor_exit: is_tor_exit(ip),
+            cookie: 1,
             fingerprint: fp,
             tls: fp_types::TlsFacet::unobserved(),
             behavior: BehaviorTrace::silent(),
             cadence: fp_types::BehaviorFacet::unobserved(),
             source: TrafficSource::RealUser,
+            verdicts: VerdictSet::new(),
         }
     }
 
@@ -151,7 +162,7 @@ mod tests {
         ] {
             let fp = consistent(kind, family);
             assert_eq!(
-                botd.decide(&request_with(fp)),
+                botd.observe(&request_with(fp)),
                 Verdict::Human,
                 "{kind:?}/{family:?} is a real user"
             );
@@ -163,7 +174,7 @@ mod tests {
         let mut botd = BotD::new();
         let fp = consistent(DeviceKind::WindowsDesktop, BrowserFamily::Chrome)
             .with(AttrId::Webdriver, true);
-        assert_eq!(botd.decide(&request_with(fp)), Verdict::Bot);
+        assert_eq!(botd.observe(&request_with(fp)), Verdict::Bot);
     }
 
     #[test]
@@ -179,7 +190,7 @@ mod tests {
                 AttrId::MimeTypes,
                 fp_types::AttrValue::list(Vec::<&str>::new()),
             );
-        assert_eq!(botd.decide(&request_with(fp)), Verdict::Bot);
+        assert_eq!(botd.observe(&request_with(fp)), Verdict::Bot);
     }
 
     #[test]
@@ -189,7 +200,7 @@ mod tests {
         for plugin in fp_fingerprint::catalog::CHROMIUM_PDF_PLUGINS {
             let fp = consistent(DeviceKind::WindowsDesktop, BrowserFamily::Chrome)
                 .with(AttrId::Plugins, fp_types::AttrValue::list([plugin]));
-            assert_eq!(botd.decide(&request_with(fp)), Verdict::Human, "{plugin}");
+            assert_eq!(botd.observe(&request_with(fp)), Verdict::Human, "{plugin}");
         }
     }
 
@@ -204,7 +215,7 @@ mod tests {
             )
             .with(AttrId::TouchSupport, "touchEvent/touchStart")
             .with(AttrId::MaxTouchPoints, 5i64);
-        assert_eq!(botd.decide(&request_with(fp)), Verdict::Human);
+        assert_eq!(botd.observe(&request_with(fp)), Verdict::Human);
     }
 
     #[test]
@@ -214,7 +225,7 @@ mod tests {
             AttrId::UserAgent,
             "Mozilla/5.0 (X11; Linux x86_64) AppleWebKit/537.36 (KHTML, like Gecko) HeadlessChrome/116.0.0.0 Safari/537.36",
         );
-        assert_eq!(botd.decide(&request_with(fp)), Verdict::Bot);
+        assert_eq!(botd.observe(&request_with(fp)), Verdict::Bot);
     }
 
     #[test]
@@ -226,7 +237,7 @@ mod tests {
             AttrId::Plugins,
             fp_types::AttrValue::list(Vec::<&str>::new()),
         );
-        assert_eq!(botd.decide(&request_with(fp)), Verdict::Human);
+        assert_eq!(botd.observe(&request_with(fp)), Verdict::Human);
     }
 
     #[test]
@@ -234,6 +245,6 @@ mod tests {
         let mut botd = BotD::new();
         let fp = consistent(DeviceKind::WindowsDesktop, BrowserFamily::Chrome)
             .with(AttrId::ProductSub, "20100101");
-        assert_eq!(botd.decide(&request_with(fp)), Verdict::Bot);
+        assert_eq!(botd.observe(&request_with(fp)), Verdict::Bot);
     }
 }

@@ -19,10 +19,8 @@
 //!   exactly the `hardwareConcurrency` effect of Figure 5 and the low-core
 //!   branch of the Appendix C decision path.
 
-use crate::{Detector, StateScope, Verdict};
-use fp_netsim::blocklist::is_tor_exit;
-use fp_netsim::NetDb;
-use fp_types::{AttrId, BehaviorTrace, Fingerprint, Request, StoredRequest};
+use fp_types::detect::{Detector, StateScope, Verdict};
+use fp_types::{AttrId, Fingerprint, StoredRequest};
 use std::collections::{HashMap, HashSet};
 
 /// `ScreenFrame` values DataDome always rejects: no real OS chrome
@@ -65,9 +63,8 @@ impl IpHistory {
     }
 }
 
-/// DataDome simulator (stateful: per-IP history, keyed by the address's
-/// salted hash so the live path and the stored-record path share one state
-/// machine).
+/// DataDome simulator (stateful: per-IP history, keyed by the record's
+/// salted address hash).
 #[derive(Default)]
 pub struct DataDome {
     history: HashMap<u64, IpHistory>,
@@ -77,17 +74,6 @@ impl DataDome {
     /// Fresh instance.
     pub fn new() -> DataDome {
         DataDome::default()
-    }
-
-    /// Decide a live request (legacy entry point; identical state machine
-    /// to the [`Detector`] impl — both funnel into `DataDome::decide_parts`).
-    pub fn decide(&mut self, request: &Request) -> Verdict {
-        self.decide_parts(
-            &request.fingerprint,
-            &request.behavior,
-            NetDb::hash_ip(request.ip),
-            is_tor_exit(request.ip),
-        )
     }
 
     fn hard_fingerprint_signals(fp: &Fingerprint) -> bool {
@@ -143,17 +129,24 @@ impl DataDome {
         let mobile_os = matches!(fp.get(AttrId::UaOs).as_str(), Some("iOS") | Some("Android"));
         touch || mobile_os
     }
+}
 
-    /// The whole rule engine, over the facts both entry points can supply.
-    fn decide_parts(
-        &mut self,
-        fp: &Fingerprint,
-        behavior: &BehaviorTrace,
-        ip_key: u64,
-        tor_exit: bool,
-    ) -> Verdict {
+impl Detector for DataDome {
+    fn name(&self) -> &'static str {
+        fp_types::detect::provenance::DATADOME
+    }
+
+    fn scope(&self) -> StateScope {
+        StateScope::PerIp
+    }
+
+    /// The whole rule engine, over the stored record.
+    fn observe(&mut self, request: &StoredRequest) -> Verdict {
+        let fp = &request.fingerprint;
+        let behavior = &request.behavior;
+
         // Network-level: Tor exits are blocked outright (Appendix G).
-        if tor_exit {
+        if request.tor_exit {
             return Verdict::Bot;
         }
 
@@ -162,7 +155,7 @@ impl DataDome {
         // rotating covers. Evaluated before this request joins the window.
         // The flag never clears, so once it latches nothing reads the
         // window again: the address stops being recorded.
-        let hist = self.history.entry(ip_key).or_default();
+        let hist = self.history.entry(request.ip_hash).or_default();
         if hist.flagged {
             return Verdict::Bot;
         }
@@ -200,25 +193,6 @@ impl DataDome {
         }
         Verdict::Bot
     }
-}
-
-impl Detector for DataDome {
-    fn name(&self) -> &'static str {
-        fp_types::detect::provenance::DATADOME
-    }
-
-    fn scope(&self) -> StateScope {
-        StateScope::PerIp
-    }
-
-    fn observe(&mut self, request: &StoredRequest) -> Verdict {
-        self.decide_parts(
-            &request.fingerprint,
-            &request.behavior,
-            request.ip_hash,
-            request.tor_exit,
-        )
-    }
 
     fn fork(&self) -> Box<dyn Detector> {
         Box::new(DataDome::new())
@@ -231,8 +205,10 @@ mod tests {
     use fp_fingerprint::{
         BrowserFamily, BrowserProfile, Collector, DeviceKind, DeviceProfile, LocaleSpec,
     };
+    use fp_netsim::blocklist::is_tor_exit;
+    use fp_netsim::NetDb;
     use fp_types::{
-        sym, AttrValue, BehaviorTrace, Fingerprint, SimTime, Splittable, TrafficSource,
+        sym, AttrValue, BehaviorTrace, Fingerprint, SimTime, Splittable, TrafficSource, VerdictSet,
     };
     use std::net::Ipv4Addr;
 
@@ -243,18 +219,29 @@ mod tests {
         Collector::collect(&d, &b, &LocaleSpec::en_us())
     }
 
-    fn request(fp: Fingerprint, behavior: BehaviorTrace, ip: Ipv4Addr) -> Request {
-        Request {
+    /// The record the honey site stores for a request from `ip`: the
+    /// address survives only as its salted hash and its Tor-exit flag.
+    fn request(fp: Fingerprint, behavior: BehaviorTrace, ip: Ipv4Addr) -> StoredRequest {
+        StoredRequest {
             id: 0,
             time: SimTime::EPOCH,
             site_token: sym("t"),
-            ip,
-            cookie: None,
+            ip_hash: NetDb::hash_ip(ip),
+            ip_offset_minutes: 0,
+            ip_region: sym("X/Y"),
+            ip_lat: 0.0,
+            ip_lon: 0.0,
+            asn: 1,
+            asn_flagged: false,
+            ip_blocklisted: false,
+            tor_exit: is_tor_exit(ip),
+            cookie: 1,
             fingerprint: fp,
             tls: fp_types::TlsFacet::unobserved(),
             behavior,
             cadence: fp_types::BehaviorFacet::unobserved(),
             source: TrafficSource::RealUser,
+            verdicts: VerdictSet::new(),
         }
     }
 
@@ -289,7 +276,7 @@ mod tests {
         let mut dd = DataDome::new();
         let fp = consistent(DeviceKind::WindowsDesktop, BrowserFamily::Chrome);
         assert_eq!(
-            dd.decide(&request(fp, human_mouse(), RESIDENTIAL_IP)),
+            dd.observe(&request(fp, human_mouse(), RESIDENTIAL_IP)),
             Verdict::Human
         );
     }
@@ -299,7 +286,7 @@ mod tests {
         let mut dd = DataDome::new();
         let fp = consistent(DeviceKind::IPhone, BrowserFamily::MobileSafari);
         assert_eq!(
-            dd.decide(&request(fp, human_touch(), RESIDENTIAL_IP)),
+            dd.observe(&request(fp, human_touch(), RESIDENTIAL_IP)),
             Verdict::Human
         );
     }
@@ -309,7 +296,7 @@ mod tests {
         let mut dd = DataDome::new();
         let fp = consistent(DeviceKind::WindowsDesktop, BrowserFamily::Chrome);
         assert_eq!(
-            dd.decide(&request(fp, BehaviorTrace::silent(), RESIDENTIAL_IP)),
+            dd.observe(&request(fp, BehaviorTrace::silent(), RESIDENTIAL_IP)),
             Verdict::Bot
         );
     }
@@ -321,7 +308,7 @@ mod tests {
         let fp = consistent(DeviceKind::IPhone, BrowserFamily::MobileSafari);
         assert!(fp.get(AttrId::HardwareConcurrency).as_int().unwrap() < 8);
         assert_eq!(
-            dd.decide(&request(fp, BehaviorTrace::silent(), RESIDENTIAL_IP)),
+            dd.observe(&request(fp, BehaviorTrace::silent(), RESIDENTIAL_IP)),
             Verdict::Human
         );
     }
@@ -332,7 +319,7 @@ mod tests {
         let fp = consistent(DeviceKind::IPhone, BrowserFamily::MobileSafari)
             .with(AttrId::HardwareConcurrency, 32i64);
         assert_eq!(
-            dd.decide(&request(fp, BehaviorTrace::silent(), RESIDENTIAL_IP)),
+            dd.observe(&request(fp, BehaviorTrace::silent(), RESIDENTIAL_IP)),
             Verdict::Bot
         );
     }
@@ -345,7 +332,7 @@ mod tests {
         let fp = consistent(DeviceKind::WindowsDesktop, BrowserFamily::Chrome)
             .with(AttrId::ScreenFrame, 240i64);
         assert_eq!(
-            dd.decide(&request(fp, human_mouse(), RESIDENTIAL_IP)),
+            dd.observe(&request(fp, human_mouse(), RESIDENTIAL_IP)),
             Verdict::Bot
         );
     }
@@ -356,14 +343,14 @@ mod tests {
         let fp =
             consistent(DeviceKind::Mac, BrowserFamily::Safari).with(AttrId::ForcedColors, true);
         assert_eq!(
-            dd.decide(&request(fp, human_mouse(), RESIDENTIAL_IP)),
+            dd.observe(&request(fp, human_mouse(), RESIDENTIAL_IP)),
             Verdict::Bot
         );
         // On Windows the same flag is legitimate high-contrast mode.
         let fp = consistent(DeviceKind::WindowsDesktop, BrowserFamily::Chrome)
             .with(AttrId::ForcedColors, true);
         assert_eq!(
-            dd.decide(&request(fp, human_mouse(), RESIDENTIAL_IP)),
+            dd.observe(&request(fp, human_mouse(), RESIDENTIAL_IP)),
             Verdict::Human
         );
     }
@@ -373,7 +360,10 @@ mod tests {
         let mut dd = DataDome::new();
         let fp = consistent(DeviceKind::WindowsDesktop, BrowserFamily::Firefox);
         let tor_ip = Ipv4Addr::new(185, 20, 1, 1);
-        assert_eq!(dd.decide(&request(fp, human_mouse(), tor_ip)), Verdict::Bot);
+        assert_eq!(
+            dd.observe(&request(fp, human_mouse(), tor_ip)),
+            Verdict::Bot
+        );
     }
 
     #[test]
@@ -390,7 +380,7 @@ mod tests {
                     AttrId::DeviceMemory,
                     AttrValue::float(f64::from(1 << (i % 4))),
                 );
-            verdicts.push(dd.decide(&request(fp, human_mouse(), ip)));
+            verdicts.push(dd.observe(&request(fp, human_mouse(), ip)));
         }
         assert!(
             verdicts[..8].iter().all(|v| *v == Verdict::Human),
@@ -415,7 +405,7 @@ mod tests {
         };
         // The churn test's stream latches the flag by request 12.
         for i in 0..30u32 {
-            let _ = dd.decide(&request(churn(i), human_mouse(), RESIDENTIAL_IP));
+            let _ = dd.observe(&request(churn(i), human_mouse(), RESIDENTIAL_IP));
         }
         let key = NetDb::hash_ip(RESIDENTIAL_IP);
         assert!(dd.history[&key].flagged);
@@ -424,7 +414,7 @@ mod tests {
         for i in 0..50u32 {
             let fp = churn(i).with(AttrId::ColorDepth, i64::from(100 + i));
             assert_eq!(
-                dd.decide(&request(fp, human_mouse(), RESIDENTIAL_IP)),
+                dd.observe(&request(fp, human_mouse(), RESIDENTIAL_IP)),
                 Verdict::Bot
             );
         }
@@ -484,9 +474,9 @@ mod tests {
                 let expected = if windows[a].churns(fp.digest()) {
                     Verdict::Bot
                 } else {
-                    DataDome::new().decide(&req)
+                    DataDome::new().observe(&req)
                 };
-                assert_eq!(dd.decide(&req), expected, "address {a}, request {i}");
+                assert_eq!(dd.observe(&req), expected, "address {a}, request {i}");
                 if expected_latch[a].is_none() && windows[a].flagged {
                     expected_latch[a] = Some(i);
                 }
@@ -499,7 +489,7 @@ mod tests {
         assert_eq!(latched, [None, None, Some(10)]);
 
         let once = Ipv4Addr::new(73, 5, 5, 4);
-        let _ = dd.decide(&request(base, human_mouse(), once));
+        let _ = dd.observe(&request(base, human_mouse(), once));
         let hist = &dd.history[&NetDb::hash_ip(once)];
         assert!(hist.first.is_some());
         assert_eq!(
@@ -516,7 +506,7 @@ mod tests {
         let fp = consistent(DeviceKind::WindowsDesktop, BrowserFamily::Chrome);
         for _ in 0..50 {
             assert_eq!(
-                dd.decide(&request(fp.clone(), human_mouse(), RESIDENTIAL_IP)),
+                dd.observe(&request(fp.clone(), human_mouse(), RESIDENTIAL_IP)),
                 Verdict::Human
             );
         }
@@ -539,7 +529,7 @@ mod tests {
             first_input_delay_ms: 5,
         };
         assert_eq!(
-            dd.decide(&request(fp, replay, RESIDENTIAL_IP)),
+            dd.observe(&request(fp, replay, RESIDENTIAL_IP)),
             Verdict::Bot
         );
     }

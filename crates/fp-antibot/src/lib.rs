@@ -17,7 +17,11 @@
 //!   with `hardwareConcurrency < 8` excuses the absence of mouse behaviour
 //!   (Figure 5, Appendix C).
 //!
-//! Decisions are deterministic functions of the request (plus, for
+//! Both implement the workspace's [`fp_types::Detector`] contract, the
+//! same trait FP-Inconsistent's own detectors implement, so the honey site
+//! runs one chain and each simulator has one entry point: `observe` over
+//! the stored record, which is all the paper's measurement sees.
+//! Decisions are deterministic functions of that record (plus, for
 //! DataDome, per-IP history) — there is no hidden randomness to tune.
 
 pub mod api_access;
@@ -27,9 +31,3 @@ pub mod datadome;
 pub use api_access::{ApiAccess, API_ACCESS_TABLE};
 pub use botd::BotD;
 pub use datadome::DataDome;
-
-// The detection contract is shared workspace-wide (`fp_types::detect`):
-// these simulators implement the same `Detector` trait FP-Inconsistent's
-// own spatial/temporal detectors do, so the honey site runs one chain.
-// Re-exported here because this crate defined the original trait.
-pub use fp_types::detect::{Detector, StateScope, Verdict};

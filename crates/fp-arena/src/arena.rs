@@ -1073,17 +1073,20 @@ mod tests {
             "re-mines count the records they scan"
         );
 
-        // Round deltas partition the totals.
-        let per_round: u64 = [&r0, &r1]
-            .iter()
-            .map(|r| {
-                r.stats
-                    .obs
-                    .snapshot
-                    .counter(fp_honeysite::site::REQUESTS_ADMITTED)
-                    .unwrap()
-            })
-            .sum();
+        // Round deltas partition the totals, and each round's latency
+        // delta holds one sample per request that round admitted.
+        let mut per_round = 0;
+        for r in [&r0, &r1] {
+            let snapshot = &r.stats.obs.snapshot;
+            let admitted = snapshot
+                .counter(fp_honeysite::site::REQUESTS_ADMITTED)
+                .unwrap();
+            let latency = snapshot
+                .histogram(fp_honeysite::site::ADMISSION_TO_VERDICT_NS)
+                .unwrap();
+            assert_eq!(latency.count(), admitted, "round {}", r.round);
+            per_round += admitted;
+        }
         assert_eq!(per_round, admitted_total);
         assert!(r0.stats.obs.wall_ns > 0, "rounds take wall time");
 

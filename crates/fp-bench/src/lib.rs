@@ -1,4 +1,5 @@
-//! Shared helpers for the regeneration binaries and criterion benches.
+//! Shared helpers for the regeneration binaries, the arena table and the
+//! pipeline benchmark.
 //!
 //! Every table/figure binary follows the same recipe: generate the
 //! campaign, run it through the honey site, compute one result, print it in
@@ -55,11 +56,13 @@ pub mod env {
         }
     }
 
-    /// Parse an `ARENA_ROUNDS` value: a positive round count.
+    /// Parse an `ARENA_ROUNDS` value: at least 2 rounds, because round 0
+    /// is the pre-adaptation baseline and erosion needs one adapted round
+    /// to measure.
     pub fn parse_rounds(v: &str) -> Result<u32, String> {
         match v.parse::<u32>() {
-            Ok(0) => Err("`0` rounds would play nothing".into()),
-            Ok(n) => Ok(n),
+            Ok(n) if n >= 2 => Ok(n),
+            Ok(n) => Err(format!("`{n}` rounds leave no adapted round to measure")),
             Err(_) => Err(format!("`{v}` is not a round count")),
         }
     }
@@ -112,7 +115,7 @@ pub mod env {
     pub fn rounds_or(default: u32) -> u32 {
         knob(
             "ARENA_ROUNDS",
-            "a positive round count",
+            "a round count of at least 2",
             default,
             parse_rounds,
         )
@@ -181,6 +184,8 @@ pub mod env {
         #[test]
         fn rounds_grammar() {
             assert_eq!(parse_rounds("4"), Ok(4));
+            assert_eq!(parse_rounds("2"), Ok(2));
+            assert!(parse_rounds("1").is_err(), "round 0 alone adapts nothing");
             assert!(parse_rounds("0").is_err());
             assert!(parse_rounds("-1").is_err());
             assert!(parse_rounds("five").is_err());

@@ -19,8 +19,7 @@ use fp_fingerprint::{
 use fp_tls::TlsClientKind;
 use fp_types::{AttrId, AttrValue, BehaviorTrace, Fingerprint, Splittable, TlsFacet};
 
-/// Which lie variant a request uses (exported for calibration tests and
-/// the figure benches).
+/// Which lie variant a request uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Variant {
     /// Fully consistent emulation of a real device.
@@ -597,21 +596,34 @@ mod tests {
     use super::*;
     use fp_antibot::{BotD, DataDome};
     use fp_fingerprint::ValidityOracle;
-    use fp_types::{sym, Request, SimTime, TrafficSource};
+    use fp_netsim::blocklist::is_tor_exit;
+    use fp_netsim::NetDb;
+    use fp_types::{sym, Detector, SimTime, StoredRequest, TrafficSource, VerdictSet};
     use std::net::Ipv4Addr;
 
-    fn as_request(built: &Built, ip: Ipv4Addr) -> Request {
-        Request {
+    /// The record the honey site stores for `built` sent from `ip`: the
+    /// address survives only as its salted hash and its Tor-exit flag.
+    fn as_request(built: &Built, ip: Ipv4Addr) -> StoredRequest {
+        StoredRequest {
             id: 0,
             time: SimTime::EPOCH,
             site_token: sym("arch-test"),
-            ip,
-            cookie: None,
+            ip_hash: NetDb::hash_ip(ip),
+            ip_offset_minutes: 0,
+            ip_region: sym("X/Y"),
+            ip_lat: 0.0,
+            ip_lon: 0.0,
+            asn: 1,
+            asn_flagged: false,
+            ip_blocklisted: false,
+            tor_exit: is_tor_exit(ip),
+            cookie: 1,
             fingerprint: built.fingerprint.clone(),
             tls: built.tls,
             behavior: built.behavior,
             cadence: fp_types::BehaviorFacet::unobserved(),
             source: TrafficSource::RealUser,
+            verdicts: VerdictSet::new(),
         }
     }
 
@@ -634,8 +646,8 @@ mod tests {
                         let ip =
                             Ipv4Addr::new(73, 100, (trial / 250) as u8, (trial % 250 + 1) as u8);
                         let req = as_request(&built, ip);
-                        let dd_v = dd.decide(&req);
-                        let botd_v = botd.decide(&req);
+                        let dd_v = dd.observe(&req);
+                        let botd_v = botd.observe(&req);
                         assert_eq!(
                             dd_v.evaded(),
                             cell.evades_dd(),

@@ -80,14 +80,14 @@ pub use fp_types as types;
 
 /// The names almost every consumer wants.
 pub mod prelude {
-    pub use fp_antibot::{BotD, DataDome, Detector, Verdict};
+    pub use fp_antibot::{BotD, DataDome};
     pub use fp_arena::{Arena, ArenaConfig, ResponsePolicy};
     pub use fp_botnet::{Campaign, CampaignConfig};
     pub use fp_honeysite::{DefenseStack, HoneySite, RequestStore};
     pub use fp_inconsistent_core::{FpInconsistent, MineConfig, RuleSet};
     pub use fp_types::defense::{DecisionPolicy, StackMember};
     pub use fp_types::{
-        AttrId, AttrValue, Fingerprint, RecordView, Request, RetentionPolicy, Scale, ServiceId,
-        SimTime,
+        AttrId, AttrValue, Detector, Fingerprint, RecordView, Request, RetentionPolicy, Scale,
+        ServiceId, SimTime, Verdict,
     };
 }
